@@ -166,13 +166,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward_fn, "mul")
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"hadamard: shapes {a.data.shape} and {b.data.shape} differ")
-    return mul(a, b)
-
-
 def scale(x: Tensor, alpha: float) -> Tensor:
     alpha = float(alpha)
 
@@ -466,8 +459,8 @@ def frobenius_sq(params: list[Tensor]) -> Tensor:
 # backward pass and gradient checking
 
 
-def backward(loss: Tensor, free_graph: bool = True) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every node in the tape."""
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(node) into .grad for every node in the tape, then drop the tape."""
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
 
@@ -500,8 +493,7 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
         for parent, g in zip(node.lineage.inputs, grads):
             if g is not None and parent.requires_grad:
                 parent.grad += g
-        if free_graph:
-            node.lineage = None
+        node.lineage = None
 
 
 @dataclass

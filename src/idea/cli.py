@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,31 +57,8 @@ ABLATION_FLAGS = {
 
 GRADCHECK_THRESHOLD = 1e-4
 
-_TRAIN_DEFAULTS = {
-    "dataset": None,
-    "train_csv": None,
-    "test_csv": None,
-    "labels": None,
-    "epochs": 2,
-    "lr": 5e-5,
-    "batch_size": 32,
-    "lambda_l2": 0.01,
-    "dropout": 0.1,
-    "seed": 0,
-    "ablation": "full",
-    "gamma_mode": "per-sample",
-    "train_limit": None,
-    "test_limit": None,
-    "max_len": 128,
-    "max_steps": None,
-    "d": 64,
-    "n_layers": 2,
-    "n_heads": 4,
-    "backend": "mini-transformer",
-    "min_freq": 1,
-    "vocab_max_size": None,
-    "out": None,
-}
+# flag dest -> TrainConfig field, where the two names differ
+_FIELD_NAMES = {"lr": "learning_rate", "labels": "label_names", "out": "out_dir"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,77 +69,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_train_args(p: argparse.ArgumentParser, suppress: bool) -> None:
-    def d(value):
-        return argparse.SUPPRESS if suppress else value
+def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Add the train/ablate flags and return them by dest, the --config file's keys.
 
-    p.add_argument("--config", default=d(None), help="JSON config file; flags override it")
-    p.add_argument("--dataset", choices=sorted(DATASETS), default=d(None),
-                   help="preset supplying label names and the default epoch count")
-    p.add_argument("--train-csv", default=d(None), help="training CSV (class index, text fields)")
-    p.add_argument("--test-csv", default=d(None), help="test CSV")
-    p.add_argument("--labels", default=d(None),
-                   help="comma-separated label names in class order")
-    p.add_argument("--epochs", type=int, default=d(_TRAIN_DEFAULTS["epochs"]),
-                   help="training epochs")
-    p.add_argument("--lr", type=float, default=d(_TRAIN_DEFAULTS["lr"]), help="learning rate")
-    p.add_argument("--batch-size", type=int, default=d(_TRAIN_DEFAULTS["batch_size"]),
-                   help="documents per optimizer step")
-    p.add_argument("--lambda", dest="lambda_l2", type=float, default=d(_TRAIN_DEFAULTS["lambda_l2"]),
-                   help="squared-norm regularization coefficient")
-    p.add_argument("--dropout", type=float, default=d(_TRAIN_DEFAULTS["dropout"]),
-                   help="dropout rate")
-    p.add_argument("--seed", type=int, default=d(_TRAIN_DEFAULTS["seed"]), help="random seed")
-    p.add_argument("--ablation", choices=sorted(ABLATION_FLAGS), default=d("full"),
-                   help="feature blocks entering the classifier input")
-    p.add_argument("--gamma-mode", choices=["per-sample", "per-batch-literal"],
-                   default=d("per-sample"),
-                   help="similarity-weight granularity (per-batch-literal couples samples)")
-    p.add_argument("--train-limit", type=int, default=d(None),
-                   help="stratified subsample size for the training CSV")
-    p.add_argument("--test-limit", type=int, default=d(None),
-                   help="stratified subsample size for the test CSV")
-    p.add_argument("--max-len", type=int, default=d(_TRAIN_DEFAULTS["max_len"]),
-                   help="document truncation length in tokens")
-    p.add_argument("--max-steps", type=int, default=d(None),
-                   help="stop after this many optimizer steps")
-    p.add_argument("--d", type=int, default=d(_TRAIN_DEFAULTS["d"]), help="embedding width")
-    p.add_argument("--n-layers", type=int, default=d(_TRAIN_DEFAULTS["n_layers"]),
-                   help="encoder layers")
-    p.add_argument("--n-heads", type=int, default=d(_TRAIN_DEFAULTS["n_heads"]),
-                   help="attention heads")
-    p.add_argument("--backend", choices=["mini-transformer", "bag-of-embeddings"],
-                   default=d(_TRAIN_DEFAULTS["backend"]), help="encoder backend")
-    p.add_argument("--min-freq", type=int, default=d(_TRAIN_DEFAULTS["min_freq"]),
-                   help="minimum token frequency kept in the vocabulary")
-    p.add_argument("--vocab-max-size", type=int, default=d(None),
-                   help="vocabulary size cap including specials")
-    p.add_argument("--out", default=d(None), help="output directory")
+    Each flag defaults to SUPPRESS, so the namespace holds only the flags
+    that were given; its help shows the default of its TrainConfig field.
+    """
+    def flag(option, help, **kwargs):
+        action = p.add_argument(option, default=argparse.SUPPRESS, **kwargs)
+        # non-fields, the CSV paths ("") and label_names (a factory) have no default: None
+        default = getattr(TrainConfig, _FIELD_NAMES.get(action.dest, action.dest), None)
+        action.help = f"{help} (default: {None if default == '' else default})"
+        return action
+
+    flag("--config", "JSON config file; flags override it")
+    flags = [
+        flag("--dataset", "preset supplying label names and the default epoch count",
+             choices=sorted(DATASETS)),
+        flag("--train-csv", "training CSV (class index, text fields)"),
+        flag("--test-csv", "test CSV"),
+        flag("--labels", "comma-separated label names in class order"),
+        flag("--epochs", "training epochs", type=int),
+        flag("--lr", "learning rate", type=float),
+        flag("--batch-size", "documents per optimizer step", type=int),
+        flag("--lambda", "squared-norm regularization coefficient", dest="lambda_l2", type=float),
+        flag("--dropout", "dropout rate", type=float),
+        flag("--seed", "random seed", type=int),
+        flag("--ablation", "feature blocks entering the classifier input",
+             choices=sorted(ABLATION_FLAGS)),
+        flag("--gamma-mode", "similarity-weight granularity (per-batch-literal couples samples)",
+             choices=["per-sample", "per-batch-literal"]),
+        flag("--train-limit", "stratified subsample size for the training CSV", type=int),
+        flag("--test-limit", "stratified subsample size for the test CSV", type=int),
+        flag("--max-len", "document truncation length in tokens", type=int),
+        flag("--max-steps", "stop after this many optimizer steps", type=int),
+        flag("--d", "embedding width", type=int),
+        flag("--n-layers", "encoder layers", type=int),
+        flag("--n-heads", "attention heads", type=int),
+        flag("--backend", "encoder backend", choices=["mini-transformer", "bag-of-embeddings"]),
+        flag("--min-freq", "minimum token frequency kept in the vocabulary", type=int),
+        flag("--vocab-max-size", "vocabulary size cap including specials", type=int),
+        flag("--out", "output directory"),
+    ]
+    return {action.dest: action for action in flags}
 
 
-def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = _Parser(prog="idea", description=__doc__, formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", formatter_class=fmt, help="train and report test metrics")
-    _add_train_args(p_train, suppress)
+    p_train.set_defaults(train_flags=_add_train_args(p_train))
 
     p_eval = sub.add_parser("eval", formatter_class=fmt, help="evaluate a saved model")
     p_eval.add_argument("--model-dir", required=True, help="directory with model.ckpt and vocab.txt")
     p_eval.add_argument("--test-csv", required=True)
     p_eval.add_argument("--test-limit", type=int, default=None)
-    p_eval.add_argument("--batch-size", type=int, default=32)
-    p_eval.add_argument("--max-len", type=int, default=128)
+    p_eval.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_eval.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     p_eval.add_argument("--seed", type=int, default=0, help="seed for --test-limit subsampling")
 
     p_ablate = sub.add_parser(
         "ablate", formatter_class=fmt,
         help="run every ablation mode over a seed sweep and compare against the full model",
     )
-    _add_train_args(p_ablate, suppress)
-    p_ablate.add_argument("--seeds", default=argparse.SUPPRESS if suppress else "0,1,2,3,4",
-                          help="comma-separated seed list")
+    p_ablate.set_defaults(train_flags=_add_train_args(p_ablate))
+    p_ablate.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
 
     p_grad = sub.add_parser(
         "gradcheck", formatter_class=fmt,
@@ -176,8 +150,8 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
     p_exp.add_argument("--limit", type=int, default=None)
-    p_exp.add_argument("--batch-size", type=int, default=32)
-    p_exp.add_argument("--max-len", type=int, default=128)
+    p_exp.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_exp.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     p_exp.add_argument("--seed", type=int, default=0)
 
     p_syn = sub.add_parser("make-synthetic", formatter_class=fmt,
@@ -198,73 +172,58 @@ def build_parser(suppress: bool = False) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, flags: dict[str, argparse.Action]) -> dict:
+    """The file's settings, each checked by its flag's type and choices; null means unset."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(data) - set(_TRAIN_DEFAULTS)
+    unknown = set(data) - set(flags)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return data
+    settings = {}
+    for key, raw in data.items():
+        if raw is None:
+            continue
+        action = flags[key]
+        try:
+            if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
+                raise ValueError("expected a string or a number")
+            value = action.type(str(raw)) if action.type else str(raw)
+            if action.choices and value not in action.choices:
+                raise ValueError(f"choose from {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: key {key!r}: invalid value {raw!r} ({exc})") from None
+        settings[key] = value
+    return settings
 
 
-def _merge_train_settings(ns_full, ns_explicit) -> dict:
-    """flags > config file > dataset preset > built-in defaults."""
-    explicit = {k: v for k, v in vars(ns_explicit).items() if k in _TRAIN_DEFAULTS}
-    file_cfg = {}
-    config_path = getattr(ns_explicit, "config", None) or getattr(ns_full, "config", None)
-    if config_path:
-        file_cfg = _load_config_file(config_path)
-
-    merged = dict(_TRAIN_DEFAULTS)
-    dataset = explicit.get("dataset", file_cfg.get("dataset"))
+def _train_config(ns) -> TrainConfig:
+    """TrainConfig() defaults < dataset preset < --config file < flags."""
+    config_path = getattr(ns, "config", None)
+    settings = _load_config_file(config_path, ns.train_flags) if config_path else {}
+    settings.update((dest, getattr(ns, dest)) for dest in ns.train_flags if hasattr(ns, dest))
+    dataset = settings.pop("dataset", None)
     if dataset:
         names, epochs = DATASETS[dataset]
-        merged["labels"] = ",".join(names)
-        merged["epochs"] = epochs
-    merged.update(file_cfg)
-    merged.update(explicit)
-    return merged
-
-
-def _settings_to_config(settings: dict) -> TrainConfig:
-    if not settings["train_csv"] or not settings["test_csv"]:
+        settings = {"labels": ",".join(names), "epochs": epochs, **settings}
+    if not settings.get("train_csv") or not settings.get("test_csv"):
         raise ValueError("train: --train-csv and --test-csv are required")
-    if not settings["labels"]:
+    if not settings.get("labels"):
         raise ValueError("train: label names required (--labels or --dataset)")
-    label_names = [name.strip() for name in settings["labels"].split(",")]
-    if any(not n for n in label_names):
+    settings["labels"] = [name.strip() for name in settings["labels"].split(",")]
+    if not all(settings["labels"]):
         raise ValueError("train: empty label name in --labels")
-    return TrainConfig(
-        train_csv=settings["train_csv"],
-        test_csv=settings["test_csv"],
-        label_names=label_names,
-        learning_rate=settings["lr"],
-        batch_size=settings["batch_size"],
-        dropout=settings["dropout"],
-        lambda_l2=settings["lambda_l2"],
-        epochs=settings["epochs"],
-        seed=settings["seed"],
-        ablation=ABLATION_FLAGS[settings["ablation"]],
-        gamma_mode=settings["gamma_mode"],
-        max_len=settings["max_len"],
-        max_steps=settings["max_steps"],
-        train_limit=settings["train_limit"],
-        test_limit=settings["test_limit"],
-        d=settings["d"],
-        n_layers=settings["n_layers"],
-        n_heads=settings["n_heads"],
-        backend=settings["backend"],
-        min_freq=settings["min_freq"],
-        vocab_max_size=settings["vocab_max_size"],
-        out_dir=settings["out"],
-    )
+    if "ablation" in settings:
+        settings["ablation"] = ABLATION_FLAGS[settings["ablation"]]
+    return TrainConfig(**{_FIELD_NAMES.get(k, k): v for k, v in settings.items()})
 
 
-def cmd_train(ns_full, ns_explicit) -> int:
-    config = _settings_to_config(_merge_train_settings(ns_full, ns_explicit))
-    result = train(config)
+def cmd_train(ns) -> int:
+    result = train(_train_config(ns))
     print(result.report(), end="")
     return 0
 
@@ -288,15 +247,14 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def cmd_ablate(ns_full, ns_explicit) -> int:
-    settings = _merge_train_settings(ns_full, ns_explicit)
-    seeds = _parse_seeds(getattr(ns_full, "seeds", "0,1,2,3,4"))
-    base = _settings_to_config(settings)
+def cmd_ablate(ns) -> int:
+    base = _train_config(ns)
+    seeds = _parse_seeds(ns.seeds)
     accs: dict[str, list[float]] = {}
     for mode in ABLATION_MODES:
         accs[mode] = []
         for seed in seeds:
-            cfg = TrainConfig(**{**vars(base), "ablation": mode, "seed": seed, "out_dir": None})
+            cfg = replace(base, ablation=mode, seed=seed, out_dir=None)
             result = train(cfg, log=lambda msg: None)
             accs[mode].append(result.test_metrics.accuracy)
             print(f"# {mode} seed={seed} test_acc={result.test_metrics.accuracy:.4f}")
@@ -319,9 +277,9 @@ def cmd_ablate(ns_full, ns_explicit) -> int:
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    if settings["out"]:
-        os.makedirs(settings["out"], exist_ok=True)
-        table_path = os.path.join(settings["out"], "ablation.tsv")
+    if base.out_dir:
+        os.makedirs(base.out_dir, exist_ok=True)
+        table_path = os.path.join(base.out_dir, "ablation.tsv")
         with open(table_path, "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write("\t".join(row) + "\n")
@@ -432,24 +390,23 @@ def _parse_seeds(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     try:
-        ns_full = build_parser(suppress=False).parse_args(argv)
-        ns_explicit = build_parser(suppress=True).parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if ns_full.command == "train":
-            return cmd_train(ns_full, ns_explicit)
-        if ns_full.command == "eval":
-            return cmd_eval(ns_full)
-        if ns_full.command == "ablate":
-            return cmd_ablate(ns_full, ns_explicit)
-        if ns_full.command == "gradcheck":
-            return cmd_gradcheck(ns_full)
-        if ns_full.command == "export-features":
-            return cmd_export_features(ns_full)
-        if ns_full.command == "make-synthetic":
-            return cmd_make_synthetic(ns_full)
-        raise ValueError(f"unknown command {ns_full.command!r}")
+        if ns.command == "train":
+            return cmd_train(ns)
+        if ns.command == "eval":
+            return cmd_eval(ns)
+        if ns.command == "ablate":
+            return cmd_ablate(ns)
+        if ns.command == "gradcheck":
+            return cmd_gradcheck(ns)
+        if ns.command == "export-features":
+            return cmd_export_features(ns)
+        if ns.command == "make-synthetic":
+            return cmd_make_synthetic(ns)
+        raise ValueError(f"unknown command {ns.command!r}")
     except (ValueError, FileNotFoundError) as exc:
         print(f"idea: error: {exc}", file=sys.stderr)
         return 1

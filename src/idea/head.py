@@ -163,7 +163,7 @@ def label_attention(
 
 def similarity_features(c: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
     """Elementwise product and absolute difference of the attended vectors."""
-    return ad.hadamard(c, s), ad.abs_diff(c, s)
+    return ad.mul(c, s), ad.abs_diff(c, s)
 
 
 def weighted_features(

@@ -61,8 +61,8 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "dropout", "adam_beta1", "adam_beta2", "adam_epsilon"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0 and name != "dropout":
+        for name in ("learning_rate", "batch_size", "adam_beta1", "adam_beta2", "adam_epsilon"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"TrainConfig.{name} must be positive")
         if self.lambda_l2 < 0:
             raise ValueError("TrainConfig.lambda_l2 must be >= 0")
@@ -138,9 +138,8 @@ def metrics_from_counts(per_class: list[dict], n_samples: int) -> Metrics:
 class AdamW:
     """Adam with bias correction and epsilon inside the denominator.
 
-    The decoupled weight-decay term defaults to 0: the squared-norm
-    penalty already sits in the loss, and applying both would
-    double-regularize.
+    There is no decoupled weight decay: the squared-norm penalty already
+    sits in the loss, and applying both would double-regularize.
     """
 
     def __init__(
@@ -150,14 +149,12 @@ class AdamW:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-6,
-        weight_decay: float = 0.0,
     ):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -177,8 +174,6 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * update
 
 

@@ -128,24 +128,24 @@ def test_softmax_gradcheck_masked(rng):
 
 
 # ---------------------------------------------------------------------------
-# hadamard / abs_diff
+# mul / abs_diff
 
 
 def test_hadamard_identities(rng):
     a = Tensor(rng.normal(size=(3, 4)))
-    np.testing.assert_array_equal(ad.hadamard(a, Tensor(np.ones((3, 4)))).data, a.data)
-    np.testing.assert_array_equal(ad.hadamard(a, Tensor(np.zeros((3, 4)))).data, np.zeros((3, 4)))
+    np.testing.assert_array_equal(ad.mul(a, Tensor(np.ones((3, 4)))).data, a.data)
+    np.testing.assert_array_equal(ad.mul(a, Tensor(np.zeros((3, 4)))).data, np.zeros((3, 4)))
 
 
 def test_hadamard_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.hadamard(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 def test_hadamard_gradcheck(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 3, 4)
-    report = grad_check(lambda: ad.reduce(ad.hadamard(a, b)), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: ad.reduce(ad.mul(a, b)), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 

@@ -1,11 +1,15 @@
 import json
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from idea.cli import DATASETS, build_parser, gradcheck_setup, main
 from idea.data import load_csv
+from idea.head import ABLATION_MODES
+from idea.training import TrainConfig
 
 
 def run_cli(capsys, *args):
@@ -170,6 +174,95 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--config", cfg_path)
     assert code == 1
     assert "unknown config keys" in err
+
+
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """Replace idea.cli.train with a recorder of the TrainConfigs it is given."""
+    calls = []
+
+    def fake_train(config, log=None):
+        calls.append(config)
+        return SimpleNamespace(report=lambda: "", test_metrics=SimpleNamespace(accuracy=0.5))
+
+    monkeypatch.setattr("idea.cli.train", fake_train)
+    return calls
+
+
+def write_config(tmp_path, obj) -> str:
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        fh.write(obj if isinstance(obj, str) else json.dumps(obj))
+    return path
+
+
+CSVS = {"train_csv": "a.csv", "test_csv": "b.csv"}
+CSV_FLAGS = ["--train-csv", "a.csv", "--test-csv", "b.csv"]
+AGNEWS, YAHOO, YELPF = (DATASETS[name][0] for name in ("agnews", "yahoo", "yelpf"))
+
+
+@pytest.mark.parametrize("file_cfg, flags, expected", [
+    # preset only
+    (None, ["--dataset", "agnews"], {"label_names": AGNEWS, "epochs": 2}),
+    # flags beat the preset
+    (None, ["--dataset", "agnews", "--labels", "x, y"], {"label_names": ["x", "y"], "epochs": 2}),
+    (None, ["--dataset", "agnews", "--epochs", "7"], {"label_names": AGNEWS, "epochs": 7}),
+    # dataset given only inside the file
+    ({"dataset": "yelpf"}, [], {"label_names": YELPF, "epochs": 5}),
+    # flags beat the file
+    ({"labels": "p,q", "epochs": 1, "lr": 1e-3}, ["--epochs", "3"],
+     {"label_names": ["p", "q"], "epochs": 3, "learning_rate": 1e-3}),
+    # the file beats a preset named by a flag
+    ({"labels": "p,q", "epochs": 4}, ["--dataset", "yahoo"], {"label_names": ["p", "q"], "epochs": 4}),
+    ({"epochs": 4}, ["--dataset", "yahoo"], {"label_names": YAHOO, "epochs": 4}),
+    # null leaves the key unset; strings go through the flag's type
+    ({"dataset": "yahoo", "labels": None, "epochs": "3"}, [], {"label_names": YAHOO, "epochs": 3}),
+    ({"labels": "p,q", "ablation": "no-abs-diff", "out": "run", "lambda_l2": 0}, [],
+     {"label_names": ["p", "q"], "ablation": "no_abs_diff", "out_dir": "run", "lambda_l2": 0.0}),
+])
+def test_train_config_precedence(tmp_path, capsys, train_calls, file_cfg, flags, expected):
+    args = ["train", *flags]
+    if file_cfg is None:
+        args += CSV_FLAGS
+    else:
+        args += ["--config", write_config(tmp_path, {**CSVS, **file_cfg})]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert train_calls == [TrainConfig(**CSVS, **expected)]
+
+
+def test_ablate_runs_every_mode_and_seed_from_one_base(tmp_path, capsys, train_calls):
+    out = str(tmp_path / "sweep")
+    code, _, err = run_cli(capsys, "ablate", "--dataset", "yelpp", *CSV_FLAGS,
+                           "--seeds", "3,4", "--lr", "0.5", "--out", out)
+    assert code == 0, err
+    assert os.path.exists(os.path.join(out, "ablation.tsv"))
+    base = TrainConfig(**CSVS, label_names=["negative", "positive"], epochs=5, learning_rate=0.5)
+    assert train_calls == [
+        replace(base, ablation=mode, seed=seed) for mode in ABLATION_MODES for seed in (3, 4)
+    ]
+
+
+@pytest.mark.parametrize("file_cfg, key", [
+    ({"epochs": 2.5}, "epochs"),
+    ({"epochs": True}, "epochs"),
+    ({"labels": ["a", "b"]}, "labels"),
+    ({"ablation": "bogus"}, "ablation"),
+    ({"dataset": "nope"}, "dataset"),
+    ({"max_steps": "x"}, "max_steps"),
+    ({"lr": "fast"}, "lr"),
+    ('{"epochs": 2,', None),  # malformed JSON
+])
+def test_config_file_bad_value_exits_1(tmp_path, capsys, train_calls, file_cfg, key):
+    if isinstance(file_cfg, dict):
+        file_cfg = {**CSVS, "labels": "a,b", **file_cfg}
+    path = write_config(tmp_path, file_cfg)
+    code, _, err = run_cli(capsys, "train", "--config", path)
+    assert code == 1
+    assert path in err
+    if key is not None:
+        assert repr(key) in err
+    assert train_calls == []
 
 
 # ---------------------------------------------------------------------------
