@@ -68,34 +68,12 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     def zero_grad(self):
         if self._grad is not None:
             self._grad[...] = 0
-
-    def backward(self):
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -120,17 +98,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _unbroadcast_batch(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    # like _unbroadcast but leaves the trailing two (matrix) axes alone
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +160,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (
-            _unbroadcast_batch(ga, a.data.shape),
-            _unbroadcast_batch(gb, b.data.shape),
-        )
+        # matrix axes never broadcast, so only leading axes are summed away
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _result(data, (a, b), backward_fn, "matmul")
 

@@ -12,8 +12,8 @@ import numpy as np
 from . import synthetic
 from .autodiff import grad_check
 from .data import Document, LabelSet, Vocab, load_csv, make_batches, stratified_sample
-from .encoder import EncoderConfig
-from .head import ABLATION_MODES, AblationConfig
+from .encoder import BACKENDS, EncoderConfig
+from .head import ABLATION_MODES, GAMMA_MODES
 from .model import IdeaModel
 from .training import (
     NonFiniteLossError,
@@ -98,7 +98,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
         flag("--ablation", "feature blocks entering the classifier input",
              choices=sorted(ABLATION_FLAGS)),
         flag("--gamma-mode", "similarity-weight granularity (per-batch-literal couples samples)",
-             choices=["per-sample", "per-batch-literal"]),
+             choices=GAMMA_MODES),
         flag("--train-limit", "stratified subsample size for the training CSV", type=int),
         flag("--test-limit", "stratified subsample size for the test CSV", type=int),
         flag("--max-len", "document truncation length in tokens", type=int),
@@ -106,7 +106,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
         flag("--d", "embedding width", type=int),
         flag("--n-layers", "encoder layers", type=int),
         flag("--n-heads", "attention heads", type=int),
-        flag("--backend", "encoder backend", choices=["mini-transformer", "bag-of-embeddings"]),
+        flag("--backend", "encoder backend", choices=BACKENDS),
         flag("--min-freq", "minimum token frequency kept in the vocabulary", type=int),
         flag("--vocab-max-size", "vocabulary size cap including specials", type=int),
         flag("--out", "output directory"),
@@ -228,21 +228,23 @@ def cmd_train(ns) -> int:
     return 0
 
 
-def _load_model_dir(model_dir):
-    ckpt = os.path.join(model_dir, "model.ckpt")
-    vocab_path = os.path.join(model_dir, "vocab.txt")
+def _load_model_and_batches(ns, csv_path, limit):
+    """(model, document count, batches): --model-dir's model over csv_path, maybe subsampled."""
+    ckpt = os.path.join(ns.model_dir, "model.ckpt")
+    vocab_path = os.path.join(ns.model_dir, "vocab.txt")
     for path in (ckpt, vocab_path):
         if not os.path.exists(path):
-            raise FileNotFoundError(f"eval: missing {path}")
-    return IdeaModel.load(ckpt), Vocab.load(vocab_path)
+            raise FileNotFoundError(f"{ns.command}: missing {path}")
+    model, vocab = IdeaModel.load(ckpt), Vocab.load(vocab_path)
+    docs = load_csv(csv_path, model.n_classes)
+    if limit is not None:
+        docs = stratified_sample(docs, limit, ns.seed)
+    return model, len(docs), make_batches(docs, vocab, ns.batch_size, max_len=ns.max_len)
 
 
 def cmd_eval(ns) -> int:
-    model, vocab = _load_model_dir(ns.model_dir)
-    docs = load_csv(ns.test_csv, model.n_classes)
-    if ns.test_limit is not None:
-        docs = stratified_sample(docs, ns.test_limit, ns.seed)
-    metrics = evaluate(model, make_batches(docs, vocab, ns.batch_size, max_len=ns.max_len))
+    model, _, batches = _load_model_and_batches(ns, ns.test_csv, ns.test_limit)
+    metrics = evaluate(model, batches)
     print("\n".join(metrics.report_lines(prefix="test_")))
     return 0
 
@@ -346,13 +348,9 @@ def cmd_gradcheck(ns) -> int:
 
 
 def cmd_export_features(ns) -> int:
-    model, vocab = _load_model_dir(ns.model_dir)
-    docs = load_csv(ns.csv, model.n_classes)
-    if ns.limit is not None:
-        docs = stratified_sample(docs, ns.limit, ns.seed)
-    batches = make_batches(docs, vocab, ns.batch_size, max_len=ns.max_len)
+    model, n_docs, batches = _load_model_and_batches(ns, ns.csv, ns.limit)
     export_features(model, batches, ns.out)
-    print(f"wrote {len(docs)} rows to {ns.out}")
+    print(f"wrote {n_docs} rows to {ns.out}")
     return 0
 
 
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
         if ns.command == "make-synthetic":
             return cmd_make_synthetic(ns)
         raise ValueError(f"unknown command {ns.command!r}")
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"idea: error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteLossError as exc:

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 INIT_STD = 0.02
+BACKENDS = ("mini-transformer", "bag-of-embeddings")
 
 
 @dataclass
@@ -26,7 +27,7 @@ class EncoderConfig:
     n_heads: int = 4
     ffn_dim: int | None = None  # defaults to 4*d
     max_positions: int = 512
-    backend: str = "mini-transformer"  # or "bag-of-embeddings"
+    backend: str = "mini-transformer"  # one of BACKENDS
     dropout: float = 0.1
     layer_norm_eps: float = 1e-12
 
@@ -35,7 +36,7 @@ class EncoderConfig:
             self.ffn_dim = 4 * self.d
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if self.backend not in ("mini-transformer", "bag-of-embeddings"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown encoder backend {self.backend!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")

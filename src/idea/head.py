@@ -15,14 +15,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-ABLATION_MODES = ("full", "only_text_features", "only_fusing", "no_abs_diff", "no_ele_prod")
-_WIDTH_FACTOR = {
-    "full": 4,
-    "only_text_features": 1,
-    "only_fusing": 2,
-    "no_abs_diff": 3,
-    "no_ele_prod": 3,
+# ablation mode -> the blocks of z in order, drawn from c, gamma*p, eta*d, s
+_Z_BLOCKS = {
+    "full": ("c", "p_weighted", "d_weighted", "s"),
+    "only_text_features": ("c",),
+    "only_fusing": ("p_weighted", "d_weighted"),
+    "no_abs_diff": ("c", "p_weighted", "s"),
+    "no_ele_prod": ("c", "d_weighted", "s"),
 }
+ABLATION_MODES = tuple(_Z_BLOCKS)
 
 GAMMA_MODES = ("per-sample", "per-batch-literal")
 
@@ -38,7 +39,7 @@ class AblationConfig:
             raise ValueError(f"unknown ablation mode {self.mode!r}; expected one of {ABLATION_MODES}")
 
     def z_width(self, d: int) -> int:
-        return _WIDTH_FACTOR[self.mode] * d
+        return len(_Z_BLOCKS[self.mode]) * d
 
 
 @dataclass
@@ -102,34 +103,41 @@ def init_classifier_params(
     }
 
 
+def _attend(
+    vectors: Tensor, query: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None
+) -> tuple[Tensor, Tensor]:
+    """Bilinear attention over the vectors of each sample, scored against its query.
+
+    score_i = tanh(v_i . W . q + b); the weights are the (masked) softmax
+    of the scores over i; the attended vector is the weighted sum of the
+    same v_i. Returns (weights K x n, attended K x d).
+    """
+    k_batch, n, d = vectors.shape
+    projected = ad.matmul(vectors, w)  # K x n x d
+    raw = ad.reshape(ad.matmul(projected, ad.reshape(query, (k_batch, d, 1))), (k_batch, n))
+    scores = ad.tanh(ad.add(raw, b))
+    weights = ad.softmax(scores, axis=1, mask=mask)
+    attended = ad.reshape(ad.matmul(ad.reshape(weights, (k_batch, 1, n)), vectors), (k_batch, d))
+    return weights, attended
+
+
 def text_attention(
     text_tokens: Tensor,
     m_global: Tensor,
     params: AttentionParams,
     pad_mask: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
-    """Attend over document tokens, scored against the label pooled vector.
+    """Attend over document tokens, scored against the label pooled vector: (alpha, c).
 
-    score_j = tanh(t_j . W_m . m_global + b_m); alpha is the masked
-    softmax of the scores over token positions; c is the alpha-weighted
-    sum of the same token vectors. text_tokens must already exclude the
-    CLS/SEP positions (the mask rules out PAD and any stray specials).
+    text_tokens must already exclude the CLS/SEP positions (the mask
+    rules out PAD and any stray specials).
     """
-    k_batch, n_tok, d = text_tokens.shape
+    k_batch, _, d = text_tokens.shape
     if m_global.shape != (k_batch, d):
         raise ad.ShapeError(
             f"text_attention: tokens {text_tokens.shape} vs global {m_global.shape}"
         )
-    projected = ad.matmul(text_tokens, params.W_m)  # K x N x d
-    raw = ad.reshape(
-        ad.matmul(projected, ad.reshape(m_global, (k_batch, d, 1))), (k_batch, n_tok)
-    )
-    scores = ad.tanh(ad.add(raw, params.b_m))
-    alpha = ad.softmax(scores, axis=1, mask=pad_mask)
-    c = ad.reshape(
-        ad.matmul(ad.reshape(alpha, (k_batch, 1, n_tok)), text_tokens), (k_batch, d)
-    )
-    return alpha, c
+    return _attend(text_tokens, m_global, params.W_m, params.b_m, pad_mask)
 
 
 def label_attention(
@@ -137,10 +145,9 @@ def label_attention(
     t_global: Tensor,
     params: AttentionParams,
 ) -> tuple[Tensor, Tensor]:
-    """Attend over the per-class vectors, scored against the text pooled vector.
+    """Attend over the per-class vectors, scored against the text pooled vector: (beta, s).
 
-    Mirror image of text_attention with the roles swapped; no mask, every
-    class is always present.
+    No mask: every class is always present.
     """
     k_batch, n_labels, d = label_vectors.shape
     if n_labels < 1:
@@ -149,16 +156,7 @@ def label_attention(
         raise ad.ShapeError(
             f"label_attention: labels {label_vectors.shape} vs global {t_global.shape}"
         )
-    projected = ad.matmul(label_vectors, params.W_t)
-    raw = ad.reshape(
-        ad.matmul(projected, ad.reshape(t_global, (k_batch, d, 1))), (k_batch, n_labels)
-    )
-    scores = ad.tanh(ad.add(raw, params.b_t))
-    beta = ad.softmax(scores, axis=1)
-    s = ad.reshape(
-        ad.matmul(ad.reshape(beta, (k_batch, 1, n_labels)), label_vectors), (k_batch, d)
-    )
-    return beta, s
+    return _attend(label_vectors, t_global, params.W_t, params.b_t)
 
 
 def similarity_features(c: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
@@ -208,16 +206,11 @@ def assemble_z(
     ablation: AblationConfig,
 ) -> Tensor:
     """Concatenate the feature blocks selected by the ablation mode."""
-    for name, t in (("c", c), ("p_weighted", p_weighted), ("d_weighted", d_weighted), ("s", s)):
+    named = {"c": c, "p_weighted": p_weighted, "d_weighted": d_weighted, "s": s}
+    for name, t in named.items():
         if t.shape != c.shape:
             raise ad.ShapeError(f"assemble_z: {name} has shape {t.shape}, expected {c.shape}")
-    blocks = {
-        "full": [c, p_weighted, d_weighted, s],
-        "only_text_features": [c],
-        "only_fusing": [p_weighted, d_weighted],
-        "no_abs_diff": [c, p_weighted, s],
-        "no_ele_prod": [c, d_weighted, s],
-    }[ablation.mode]
+    blocks = [named[name] for name in _Z_BLOCKS[ablation.mode]]
     if len(blocks) == 1:
         return blocks[0]
     return ad.concat(blocks, axis=1)
@@ -231,11 +224,6 @@ def classify(z: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"{weight.shape} (ablation mode changed after initialization?)"
         )
     return ad.add(ad.matmul(z, weight), bias)
-
-
-def predict(logits: Tensor) -> Tensor:
-    """Row-softmax of the logits."""
-    return ad.softmax(logits, axis=1)
 
 
 def idea_loss(logits: Tensor, gold, reg_params: list[Tensor], lambda_l2: float) -> Tensor:

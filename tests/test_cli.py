@@ -288,6 +288,17 @@ def test_missing_dataset_file_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--config", "--train-csv"])
+def test_directory_input_path_exits_1(tmp_path, capsys, flag):
+    # the directory exists, so only reading it as a file fails
+    code, _, err = run_cli(
+        capsys, "train", flag, str(tmp_path), "--test-csv", str(tmp_path), "--labels", "a,b"
+    )
+    assert code == 1
+    assert str(tmp_path) in err
+    assert "runtime failure" not in err
+
+
 def test_help_lists_flags_with_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["train", "--help"])

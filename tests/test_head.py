@@ -13,7 +13,6 @@ from idea.head import (
     idea_loss,
     init_classifier_params,
     label_attention,
-    predict,
     similarity_features,
     text_attention,
     weighted_features,
@@ -261,6 +260,18 @@ def test_assemble_z_block_order(rng):
     np.testing.assert_array_equal(z.data[:, d : 2 * d], p_w.data)
     np.testing.assert_array_equal(z.data[:, 2 * d : 3 * d], d_w.data)
     np.testing.assert_array_equal(z.data[:, 3 * d :], s.data)
+    # the full block sequence of every mode
+    expected = {
+        "full": [c, p_w, d_w, s],
+        "only_text_features": [c],
+        "only_fusing": [p_w, d_w],
+        "no_abs_diff": [c, p_w, s],
+        "no_ele_prod": [c, d_w, s],
+    }
+    assert tuple(expected) == ABLATION_MODES  # also the row order of the ablate table
+    for mode, blocks in expected.items():
+        z = assemble_z(c, p_w, d_w, s, AblationConfig(mode))
+        np.testing.assert_array_equal(z.data, np.concatenate([b.data for b in blocks], axis=1))
 
 
 def test_ablation_config_rejects_unknown_mode():
@@ -275,21 +286,21 @@ def test_ablation_config_rejects_unknown_mode():
 def test_classify_zero_params_uniform(rng):
     z = Tensor(rng.normal(size=(3, 8)))
     params = init_classifier_params(8, 4, rng, np.float64, init="zeros")
-    probs = predict(classify(z, params["clf.W"], params["clf.b"]))
+    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
     np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
 
 
 def test_predict_rows_sum_to_one(rng):
     z = Tensor(rng.normal(size=(6, 8)))
     params = init_classifier_params(8, 5, rng, np.float64, init="normal")
-    probs = predict(classify(z, params["clf.W"], params["clf.b"]))
+    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
     np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_predict_shift_invariant(rng):
     logits = rng.normal(size=(4, 5))
-    a = predict(Tensor(logits)).data
-    b = predict(Tensor(logits + 7.3)).data
+    a = ad.softmax(Tensor(logits), axis=1).data
+    b = ad.softmax(Tensor(logits + 7.3), axis=1).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
