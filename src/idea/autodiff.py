@@ -181,7 +181,7 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     data = 0.5 * v * (1.0 + t)
 
@@ -371,7 +371,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tens
         dgain = (g * xhat).sum(axis=lead)
         dbias = g.sum(axis=lead)
         dxhat = g * gain.data
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std**3)
+        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
         dmu = (-dxhat / std).sum(axis=-1, keepdims=True) + dvar * (-2.0) * xc.mean(
             axis=-1, keepdims=True
         )

@@ -236,6 +236,17 @@ def _load_model_and_batches(ns, csv_path, limit):
         if not os.path.exists(path):
             raise FileNotFoundError(f"{ns.command}: missing {path}")
     model, vocab = IdeaModel.load(ckpt), Vocab.load(vocab_path)
+    enc = model.encoder_config
+    if ns.max_len > enc.max_positions - 2:  # [CLS] and [SEP] take two positions
+        raise ValueError(
+            f"{ns.command}: --max-len {ns.max_len} exceeds max_positions - 2 "
+            f"= {enc.max_positions - 2} of {ckpt}"
+        )
+    if len(vocab) != enc.vocab_size:
+        raise ValueError(
+            f"{ns.command}: {vocab_path} has {len(vocab)} tokens but {ckpt} "
+            f"has vocab_size {enc.vocab_size}"
+        )
     docs = load_csv(csv_path, model.n_classes)
     if limit is not None:
         docs = stratified_sample(docs, limit, ns.seed)

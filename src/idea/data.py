@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +18,24 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 class CsvFormatError(ValueError):
     """Malformed dataset row; message carries the 1-based line number."""
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write to a temp file beside path and rename it over path once the block completes.
+
+    If the block raises, path keeps its previous contents and the temp file is removed.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -53,7 +73,7 @@ class Vocab:
 
     def save(self, path) -> None:
         # one token per line in id order; the first 4 lines are the specials
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for tok in self.id_to_token:
                 fh.write(tok + "\n")
 

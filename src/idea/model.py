@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import SEP, Batch, LabelSet, Vocab, encode_label_sequence
+from .data import SEP, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence
 from .encoder import (
     EncoderConfig,
     encode,
@@ -148,7 +148,7 @@ class IdeaModel:
             ],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
@@ -157,19 +157,30 @@ class IdeaModel:
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "IdeaModel":
+        """Read a checkpoint written by save; a short or over-long file raises ValueError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint")
             size = int.from_bytes(fh.read(8), "little")
-            header = json.loads(fh.read(size).decode("utf-8"))
+            blob = fh.read(size)
+            if len(blob) < size:
+                raise ValueError(f"{path}: truncated checkpoint header")
+            header = json.loads(blob.decode("utf-8"))
             params: dict[str, Tensor] = {}
             for entry in header["params"]:
                 shape = tuple(entry["shape"])
                 n = int(np.prod(shape)) if shape else 1
                 buf = fh.read(4 * n)
+                if len(buf) < 4 * n:
+                    raise ValueError(
+                        f"{path}: truncated checkpoint: parameter {entry['name']} needs "
+                        f"{4 * n} bytes, found {len(buf)}"
+                    )
                 arr = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(dtype)
                 params[entry["name"]] = Tensor(arr, requires_grad=True)
+            if fh.read(1):
+                raise ValueError(f"{path}: trailing bytes after the last parameter")
         model = cls(
             EncoderConfig(**header["encoder"]),
             header["label_names"],

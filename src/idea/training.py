@@ -14,6 +14,7 @@ from .data import (
     Batch,
     LabelSet,
     Vocab,
+    atomic_open,
     build_vocab,
     load_csv,
     make_batches,
@@ -68,6 +69,11 @@ class TrainConfig:
             raise ValueError("TrainConfig.lambda_l2 must be >= 0")
         if self.epochs < 1:
             raise ValueError("TrainConfig.epochs must be >= 1")
+        if self.max_len > self.max_positions - 2:  # [CLS] and [SEP] take two positions
+            raise ValueError(
+                f"TrainConfig.max_len {self.max_len} exceeds max_positions - 2 "
+                f"= {self.max_positions - 2}"
+            )
 
 
 @dataclass
@@ -340,7 +346,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
         os.makedirs(config.out_dir, exist_ok=True)
         vocab.save(os.path.join(config.out_dir, "vocab.txt"))
         model.save(os.path.join(config.out_dir, "model.ckpt"))
-        with open(os.path.join(config.out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(config.out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(result.report())
         with open(os.path.join(config.out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
             for i, secs in enumerate(epoch_seconds, start=1):

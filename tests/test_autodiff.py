@@ -420,3 +420,68 @@ def test_gradcheck_report_invariant(rng):
     assert report.max_relative_error == max(report.per_parameter_errors.values())
     assert set(report.per_parameter_errors) == {"a", "b"}
     assert report.step_size == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# kernel precision and dtype
+
+
+def _gelu_oracle(x: float) -> float:
+    return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_matches_scalar_oracle(rng, dtype):
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001), rng.normal(0.0, 3.0, 2000), [0.0, 1e-30]])
+    x = x.astype(dtype)
+    got = ad.gelu(Tensor(x)).data
+    assert got.dtype == dtype
+    want = np.array([_gelu_oracle(float(v)) for v in x])
+    # ulps at the input's magnitude: 1 + tanh cancels for negative x, so the
+    # output's own ulp is no fair yardstick there
+    ulps = np.abs(got - want) / np.spacing(np.abs(x)).astype(np.float64)
+    assert ulps.max() <= 4.0
+
+
+def _op_cases(rng):
+    """(op name, function of float32 leaves, leaves) for every op the model uses."""
+    def f32(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    mask = np.array([[True, True, False], [True, False, False]])
+    gain = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    return [
+        ("add", ad.add, (f32(2, 3), f32(3))),
+        ("mul", ad.mul, (f32(2, 3), f32(2, 1))),
+        ("scale", lambda x: ad.scale(x, 0.5), (f32(2, 3),)),
+        ("matmul", ad.matmul, (f32(2, 2, 3), f32(3, 4))),
+        ("tanh", ad.tanh, (f32(2, 3),)),
+        ("gelu", ad.gelu, (f32(2, 3),)),
+        ("abs_diff", ad.abs_diff, (f32(2, 3), f32(2, 3))),
+        ("softmax", lambda x: ad.softmax(x, axis=1), (f32(2, 3),)),
+        ("softmax_masked", lambda x: ad.softmax(x, axis=1, mask=mask), (f32(2, 3),)),
+        ("reduce_sum", lambda x: ad.reduce(x, axis=1), (f32(2, 3),)),
+        ("reduce_mean", lambda x: ad.reduce(x, axis=0, kind="mean"), (f32(2, 3),)),
+        ("concat", lambda a, b: ad.concat([a, b], axis=1), (f32(2, 3), f32(2, 2))),
+        ("dropout", lambda x: ad.dropout(x, 0.5, True, np.random.default_rng(0)), (f32(4, 3),)),
+        ("reshape", lambda x: ad.reshape(x, (3, 2)), (f32(2, 3),)),
+        ("transpose", lambda x: ad.transpose(x, (1, 0)), (f32(2, 3),)),
+        ("slice", lambda x: ad.slice_axis(x, 1, 1, 3), (f32(2, 3),)),
+        ("broadcast", lambda x: ad.broadcast_to(x, (2, 3)), (f32(1, 3),)),
+        ("embedding", lambda t: ad.embedding(t, np.array([[0, 2], [1, 1]])), (f32(4, 3),)),
+        ("layernorm", ad.layernorm, (f32(2, 3), gain, f32(3))),
+        ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2])), (f32(2, 3),)),
+        ("frobenius_sq", lambda a, b: ad.frobenius_sq([a, b]), (f32(2, 3), f32(3))),
+    ]
+
+
+def test_float32_ops_stay_float32(rng):
+    # .grad buffers are float32 and `+=` casts into them, so a float64
+    # gradient would pass unseen through backward(); ask each closure directly
+    for name, op, leaves in _op_cases(rng):
+        out = op(*leaves)
+        assert out.data.dtype == np.float32, name
+        grads = out.lineage.backward_fn(np.ones_like(out.data))
+        assert [g.dtype for g in grads] == [np.float32] * len(leaves), name
+        backward(out if out.ndim == 0 else ad.reduce(out))
+        assert all(leaf.grad.dtype == np.float32 for leaf in leaves), name

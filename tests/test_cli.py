@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -133,6 +134,65 @@ def test_cmd_export_features(cli_corpus, tmp_path, capsys):
     lines = open(tsv).read().splitlines()
     assert len(lines) == 30
     assert all(len(line.split("\t")) == 2 + 16 * 4 for line in lines)
+
+
+@pytest.fixture(scope="module")
+def trained_dir(cli_corpus, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("trained") / "run")
+    code = main([
+        "train", "--train-csv", cli_corpus["train"], "--test-csv", cli_corpus["test"],
+        "--labels", "sport,finance,science", "--epochs", "1", "--out", out, *FAST,
+    ])
+    assert code == 0
+    return out
+
+
+def copy_model_dir(trained_dir, tmp_path) -> str:
+    model_dir = str(tmp_path / "model")
+    shutil.copytree(trained_dir, model_dir)
+    return model_dir
+
+
+@pytest.mark.parametrize("damage", ["cut", "pad"])
+def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    ckpt = os.path.join(model_dir, "model.ckpt")
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(data[:-1] if damage == "cut" else data + b"\x00")
+    code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", cli_corpus["test"])
+    assert code == 1
+    assert ckpt in err
+
+
+def test_eval_max_len_beyond_checkpoint_exits_1(trained_dir, capsys):
+    # the CSV does not exist: the check must fire before any data is read
+    code, _, err = run_cli(
+        capsys, "eval", "--model-dir", trained_dir, "--test-csv", "/no/such.csv",
+        "--max-len", "511",
+    )
+    assert code == 1
+    assert "--max-len 511" in err and "max_positions - 2 = 510" in err
+
+
+def test_eval_vocab_checkpoint_mismatch_exits_1(trained_dir, tmp_path, capsys):
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    vocab_path = os.path.join(model_dir, "vocab.txt")
+    with open(vocab_path, "a", encoding="utf-8") as fh:
+        fh.write("extra\n")
+    code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
+    assert code == 1
+    assert vocab_path in err and os.path.join(model_dir, "model.ckpt") in err
+
+
+def test_train_max_len_beyond_positions_exits_1(capsys):
+    code, _, err = run_cli(
+        capsys, "train", "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+        "--labels", "a,b", "--max-len", "511",
+    )
+    assert code == 1
+    assert "max_len 511" in err
 
 
 def test_dataset_preset_fills_labels_and_epochs(cli_corpus, tmp_path, capsys):

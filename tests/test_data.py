@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from idea.data import (
     Document,
     LabelSet,
     Vocab,
+    atomic_open,
     build_vocab,
     encode_document,
     encode_label_sequence,
@@ -98,6 +101,29 @@ def test_vocab_bijection_and_roundtrip(tmp_path):
     loaded = Vocab.load(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.token_to_id == vocab.token_to_id
+
+
+def test_atomic_open_keeps_previous_file_on_error(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("half a new")
+            raise RuntimeError("disk gone")
+    assert path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_vocab_save_failure_keeps_previous_file(tmp_path):
+    vocab = build_vocab([Document("x y z", 0)])
+    path = tmp_path / "vocab.txt"
+    vocab.save(path)
+    before = path.read_bytes()
+    broken = Vocab(vocab.token_to_id, vocab.id_to_token + [None])  # fails on the last line
+    with pytest.raises(TypeError):
+        broken.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["vocab.txt"]
 
 
 def test_vocab_load_rejects_missing_header(tmp_path):

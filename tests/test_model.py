@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,28 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
     with pytest.raises(ValueError):
         IdeaModel.load(path)
+
+
+@pytest.mark.parametrize("damage", ["cut", "pad", "cut-header"])
+def test_checkpoint_rejects_truncated_or_padded(tmp_path, damage):
+    model, _ = build_model(dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    data = path.read_bytes()
+    damaged = {"cut": data[:-1], "pad": data + b"\x00", "cut-header": data[:40]}[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError, match="truncated|trailing") as err:
+        IdeaModel.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path):
+    model, _ = build_model(dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    before = path.read_bytes()
+    model.params["clf.b"].data = np.array(["x"])  # the last parameter cannot become float32
+    with pytest.raises(ValueError):
+        model.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]

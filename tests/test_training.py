@@ -10,6 +10,7 @@ from idea.training import (
     AdamW,
     Metrics,
     NonFiniteLossError,
+    RunResult,
     TrainConfig,
     WelchResult,
     clip_grads,
@@ -318,6 +319,31 @@ def test_train_config_validation():
         TrainConfig(lambda_l2=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+def test_train_config_rejects_max_len_beyond_positions():
+    TrainConfig(max_len=510)  # [CLS] + 510 tokens + [SEP] fill the default 512 positions
+    TrainConfig(max_len=14, max_positions=16)
+    with pytest.raises(ValueError, match="max_len 511"):
+        TrainConfig(max_len=511)
+    with pytest.raises(ValueError, match="max_positions - 2 = 14"):
+        TrainConfig(max_len=15, max_positions=16)
+
+
+def test_train_metrics_write_failure_keeps_previous_file(synthetic_corpus, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "metrics.txt").write_text("previous\n")
+
+    def broken_report(self):
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(RunResult, "report", broken_report)
+    with pytest.raises(RuntimeError, match="report failed"):
+        train(_fast_config(synthetic_corpus, out_dir=str(out), max_steps=2, epochs=1),
+              log=lambda m: None)
+    assert (out / "metrics.txt").read_text() == "previous\n"
+    assert sorted(os.listdir(out)) == ["metrics.txt", "model.ckpt", "vocab.txt"]
 
 
 def test_train_limits_subsample(synthetic_corpus):
