@@ -19,7 +19,7 @@ class ShapeError(ValueError):
 
 
 class DegenerateSliceError(ValueError):
-    """A softmax slice in which every position is masked out."""
+    """A mask row in which every position is masked out."""
 
 
 class CyclicLineageError(RuntimeError):
@@ -205,28 +205,30 @@ def abs_diff(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.abs(diff), (a, b), backward_fn, "abs_diff")
 
 
-def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
+def mask_bias(mask, dtype) -> np.ndarray:
+    """Additive softmax bias for a boolean mask: 0 where True, -inf where False.
+
+    Every row along the last axis must keep at least one position;
+    otherwise DegenerateSliceError is raised.
+    """
+    m = np.asarray(mask, dtype=bool)
+    if not m.any(axis=-1).all():
+        raise DegenerateSliceError("mask_bias: a row has every position masked out")
+    return np.where(m, 0.0, -np.inf).astype(dtype)
+
+
+def softmax(x: Tensor, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
     """Exp-normalize along an axis, subtracting the slice max for stability.
 
-    mask is boolean with True marking positions that participate; masked
-    positions get weight exactly 0 and are excluded from the denominator.
-    The mask may be any shape broadcastable to x.
+    bias, broadcastable to x, is added to the scores first; a -inf entry
+    (see mask_bias) gives its position weight exactly 0.
     """
     data = x.data
     if not (-data.ndim <= axis < data.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {data.shape}")
-    if mask is not None:
-        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-        m = np.broadcast_to(m.astype(bool), data.shape)
-        if np.any(m.sum(axis=axis) == 0):
-            raise DegenerateSliceError(
-                "softmax: a slice has every position masked out"
-            )
-        mx = np.max(np.where(m, data, -np.inf), axis=axis, keepdims=True)
-        e = np.where(m, np.exp(np.where(m, data - mx, 0.0)), 0.0)
-    else:
-        mx = np.max(data, axis=axis, keepdims=True)
-        e = np.exp(data - mx)
+    if bias is not None:
+        data = data + bias
+    e = np.exp(data - np.max(data, axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
@@ -254,7 +256,7 @@ def reduce(x: Tensor, axis=None, kind: str = "sum", keepdims: bool = False) -> T
         g = np.broadcast_to(g, data.shape)
         if kind == "mean":
             g = g / count
-        return (np.ascontiguousarray(g),)
+        return (g,)
 
     return _result(out, (x,), backward_fn, "reduce_" + kind)
 
@@ -267,7 +269,7 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     offsets = np.cumsum(sizes)[:-1]
 
     def backward_fn(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, offsets, axis=axis))
 
     return _result(data, tuple(parts), backward_fn, "concat")
 
@@ -307,7 +309,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def backward_fn(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
+        return (g.transpose(inv),)
 
     return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward_fn, "transpose")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import synthetic
 from .autodiff import grad_check
-from .data import Document, LabelSet, Vocab, load_csv, make_batches, stratified_sample
+from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
 from .encoder import BACKENDS, EncoderConfig
 from .head import ABLATION_MODES, GAMMA_MODES
 from .model import IdeaModel
@@ -293,7 +293,7 @@ def cmd_ablate(ns) -> int:
     if base.out_dir:
         os.makedirs(base.out_dir, exist_ok=True)
         table_path = os.path.join(base.out_dir, "ablation.tsv")
-        with open(table_path, "w", encoding="utf-8") as fh:
+        with atomic_open(table_path, "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write("\t".join(row) + "\n")
         print(f"# table written to {table_path}")

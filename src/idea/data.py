@@ -166,10 +166,10 @@ def build_vocab(
 
 
 def encode_document(doc: Document, vocab: Vocab, max_len: int = 128) -> list[int]:
-    """[CLS] + token ids truncated to max_len + [SEP]."""
+    """[CLS] + token ids truncated to max_len + [SEP]; a text with no tokens reads as [UNK]."""
     if max_len < 1:
         raise ValueError(f"encode_document: max_len must be >= 1, got {max_len}")
-    return [CLS] + vocab.encode(tokenize(doc.text)[:max_len]) + [SEP]
+    return [CLS] + (vocab.encode(tokenize(doc.text)[:max_len]) or [UNK]) + [SEP]
 
 
 def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], list[tuple[int, int]]]:

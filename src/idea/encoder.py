@@ -91,7 +91,7 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
-def _self_attention(x, key_mask, params, prefix, config, training, rng):
+def _self_attention(x, key_bias, params, prefix, config, training, rng):
     k_batch, seq, d = x.shape
     heads = config.n_heads
     dk = d // heads
@@ -104,16 +104,15 @@ def _self_attention(x, key_mask, params, prefix, config, training, rng):
     v = split_heads(_linear(x, params[prefix + "attn.Wv"], params[prefix + "attn.bv"]))
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    # PAD keys get exactly zero weight
-    probs = ad.softmax(scores, axis=-1, mask=key_mask[:, None, None, :])
+    probs = ad.softmax(scores, axis=-1, bias=key_bias)
     probs = ad.dropout(probs, config.dropout, training, rng)
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (k_batch, seq, d))
     out = _linear(ctx, params[prefix + "attn.Wo"], params[prefix + "attn.bo"])
     return ad.dropout(out, config.dropout, training, rng)
 
 
-def _encoder_layer(x, key_mask, params, prefix, config, training, rng):
-    attn = _self_attention(x, key_mask, params, prefix, config, training, rng)
+def _encoder_layer(x, key_bias, params, prefix, config, training, rng):
+    attn = _self_attention(x, key_bias, params, prefix, config, training, rng)
     x = ad.layernorm(ad.add(x, attn), params[prefix + "ln1.g"], params[prefix + "ln1.b"], config.layer_norm_eps)
     h = _linear(ad.gelu(_linear(x, params[prefix + "ffn.W1"], params[prefix + "ffn.b1"])),
                 params[prefix + "ffn.W2"], params[prefix + "ffn.b2"])
@@ -145,8 +144,10 @@ def encode(
     x = ad.layernorm(x, params["emb_ln.g"], params["emb_ln.b"], config.layer_norm_eps)
     x = ad.dropout(x, config.dropout, training, rng)
     if config.backend == "mini-transformer":
+        # PAD keys get exactly zero weight in every layer
+        key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]
         for i in range(config.n_layers):
-            x = _encoder_layer(x, mask, params, f"layer{i}.", config, training, rng)
+            x = _encoder_layer(x, key_bias, params, f"layer{i}.", config, training, rng)
     # zero PAD rows so padded ids cannot leak into anything downstream
     x = ad.mul(x, Tensor(mask[:, :, None].astype(x.data.dtype)))
     cls = ad.reshape(ad.slice_axis(x, 1, 0, 1), (k_batch, config.d))

@@ -104,19 +104,19 @@ def init_classifier_params(
 
 
 def _attend(
-    vectors: Tensor, query: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None
+    vectors: Tensor, query: Tensor, w: Tensor, b: Tensor, bias: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor]:
     """Bilinear attention over the vectors of each sample, scored against its query.
 
-    score_i = tanh(v_i . W . q + b); the weights are the (masked) softmax
-    of the scores over i; the attended vector is the weighted sum of the
-    same v_i. Returns (weights K x n, attended K x d).
+    score_i = tanh(v_i . W . q + b); the weights are the softmax over i of
+    the scores plus bias (from ad.mask_bias, if given); the attended vector
+    is the weighted sum of the same v_i. Returns (weights K x n, attended K x d).
     """
     k_batch, n, d = vectors.shape
     projected = ad.matmul(vectors, w)  # K x n x d
     raw = ad.reshape(ad.matmul(projected, ad.reshape(query, (k_batch, d, 1))), (k_batch, n))
     scores = ad.tanh(ad.add(raw, b))
-    weights = ad.softmax(scores, axis=1, mask=mask)
+    weights = ad.softmax(scores, axis=1, bias=bias)
     attended = ad.reshape(ad.matmul(ad.reshape(weights, (k_batch, 1, n)), vectors), (k_batch, d))
     return weights, attended
 
@@ -137,7 +137,8 @@ def text_attention(
         raise ad.ShapeError(
             f"text_attention: tokens {text_tokens.shape} vs global {m_global.shape}"
         )
-    return _attend(text_tokens, m_global, params.W_m, params.b_m, pad_mask)
+    bias = ad.mask_bias(pad_mask, text_tokens.dtype)
+    return _attend(text_tokens, m_global, params.W_m, params.b_m, bias)
 
 
 def label_attention(

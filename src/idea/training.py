@@ -348,7 +348,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
         model.save(os.path.join(config.out_dir, "model.ckpt"))
         with atomic_open(os.path.join(config.out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(result.report())
-        with open(os.path.join(config.out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(config.out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
             for i, secs in enumerate(epoch_seconds, start=1):
                 fh.write(f"epoch_{i}_seconds={secs:.3f}\n")
     return result
@@ -398,7 +398,7 @@ def _sample_var(xs: list[float]) -> float:
 
 def export_features(model: IdeaModel, batches: list[Batch], path) -> None:
     """One row per sample: gold label, predicted label, then the z entries."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for batch in batches:
             logits, feats = model.forward(batch.token_ids, batch.pad_mask, training=False)
             pred = np.argmax(logits.data, axis=1)

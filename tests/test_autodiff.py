@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from idea import autodiff as ad
 from idea.autodiff import (
@@ -89,7 +92,8 @@ def test_softmax_large_values_stable():
 
 def test_masked_softmax_matches_dense_on_unmasked():
     a, b = 0.7, -1.2
-    masked = ad.softmax(Tensor([a, b, 123.0]), axis=0, mask=np.array([True, True, False]))
+    bias = ad.mask_bias(np.array([True, True, False]), np.float64)
+    masked = ad.softmax(Tensor([a, b, 123.0]), axis=0, bias=bias)
     dense = ad.softmax(Tensor([a, b]), axis=0)
     # two-term closed form
     za = math.exp(a) / (math.exp(a) + math.exp(b))
@@ -100,7 +104,39 @@ def test_masked_softmax_matches_dense_on_unmasked():
 
 def test_softmax_all_masked_slice_raises():
     with pytest.raises(DegenerateSliceError):
-        ad.softmax(Tensor(np.zeros((2, 3))), axis=1, mask=np.array([[True, True, True], [False, False, False]]))
+        ad.mask_bias(np.array([[True, True, True], [False, False, False]]), np.float64)
+
+
+def _where_masked_softmax(data, mask, axis):
+    """The boolean-mask softmax that mask_bias replaced, as the bit-for-bit reference."""
+    m = np.broadcast_to(mask, data.shape)
+    mx = np.max(np.where(m, data, -np.inf), axis=axis, keepdims=True)
+    e = np.where(m, np.exp(np.where(m, data - mx, 0.0)), 0.0)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@st.composite
+def masked_scores(draw):
+    """K x H x Q x S attention scores and a K x S key mask keeping at least one key per row."""
+    k, h, q, s = (draw(st.integers(1, n)) for n in (4, 3, 5, 7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scores = draw(hnp.arrays(dtype, (k, h, q, s), elements=st.floats(-50, 50, width=32)))
+    mask = draw(hnp.arrays(bool, (k, s)))
+    mask[np.arange(k), draw(hnp.arrays(np.int64, k, elements=st.integers(0, s - 1)))] = True
+    return scores, mask
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(masked_scores())
+def test_softmax_key_bias_matches_where_formula_bitwise(case):
+    scores, mask = case
+    key_bias = ad.mask_bias(mask, scores.dtype)[:, None, None, :]
+    y = ad.softmax(Tensor(scores), axis=-1, bias=key_bias).data
+    want = _where_masked_softmax(scores, mask[:, None, None, :], axis=-1)
+    assert y.dtype == scores.dtype
+    assert y.tobytes() == want.tobytes()
+    masked = np.broadcast_to(~mask[:, None, None, :], y.shape)
+    assert np.all(y[masked] == 0.0)
 
 
 def test_softmax_rows_are_distributions(rng):
@@ -108,7 +144,7 @@ def test_softmax_rows_are_distributions(rng):
         x = Tensor(rng.normal(size=(4, 7)) * 10)
         mask = rng.random((4, 7)) > 0.3
         mask[:, 0] = True
-        y = ad.softmax(x, axis=1, mask=mask).data
+        y = ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)).data
         assert np.all(y >= 0) and np.all(y <= 1)
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(y[~mask] == 0.0)
@@ -121,7 +157,7 @@ def test_softmax_gradcheck_masked(rng):
     tgt = Tensor(rng.normal(size=(3, 5)))
 
     def fn():
-        return ad.reduce(ad.mul(ad.softmax(x, axis=1, mask=mask), tgt))
+        return ad.reduce(ad.mul(ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)), tgt))
 
     report = grad_check(fn, {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -191,6 +227,14 @@ def test_reduce_gradcheck(rng):
     x = leaf(rng, 3, 4)
     report = grad_check(lambda: ad.reduce(ad.tanh(ad.reduce(x, axis=1, kind="mean"))), {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["sum", "mean"])
+def test_reduce_zero_d_input_gradient(kind):
+    x = Tensor(np.array(3.0), requires_grad=True)
+    backward(ad.reduce(x, kind=kind))
+    assert x.grad.shape == ()
+    assert float(x.grad) == 1.0
 
 
 def test_concat_shapes(rng):
@@ -459,7 +503,7 @@ def _op_cases(rng):
         ("gelu", ad.gelu, (f32(2, 3),)),
         ("abs_diff", ad.abs_diff, (f32(2, 3), f32(2, 3))),
         ("softmax", lambda x: ad.softmax(x, axis=1), (f32(2, 3),)),
-        ("softmax_masked", lambda x: ad.softmax(x, axis=1, mask=mask), (f32(2, 3),)),
+        ("softmax_masked", lambda x: ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)), (f32(2, 3),)),
         ("reduce_sum", lambda x: ad.reduce(x, axis=1), (f32(2, 3),)),
         ("reduce_mean", lambda x: ad.reduce(x, axis=0, kind="mean"), (f32(2, 3),)),
         ("concat", lambda a, b: ad.concat([a, b], axis=1), (f32(2, 3), f32(2, 2))),
@@ -483,5 +527,5 @@ def test_float32_ops_stay_float32(rng):
         assert out.data.dtype == np.float32, name
         grads = out.lineage.backward_fn(np.ones_like(out.data))
         assert [g.dtype for g in grads] == [np.float32] * len(leaves), name
-        backward(out if out.ndim == 0 else ad.reduce(out))
+        backward(ad.reduce(out))
         assert all(leaf.grad.dtype == np.float32 for leaf in leaves), name

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -153,6 +154,104 @@ def copy_model_dir(trained_dir, tmp_path) -> str:
     return model_dir
 
 
+def with_empty_document(tmp_path, csv_path) -> str:
+    """A copy of csv_path with a class-2 row of empty text appended."""
+    path = str(tmp_path / ("empty-" + os.path.basename(csv_path)))
+    shutil.copyfile(csv_path, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('"2",""\n')
+    return path
+
+
+def test_train_with_empty_document_exits_0(cli_corpus, tmp_path, capsys):
+    code, stdout, err = run_cli(
+        capsys, "train", "--train-csv", with_empty_document(tmp_path, cli_corpus["train"]),
+        "--test-csv", with_empty_document(tmp_path, cli_corpus["test"]),
+        "--labels", "sport,finance,science", "--epochs", "1", *FAST,
+    )
+    assert code == 0, err
+    assert "test_n_samples=91" in stdout
+
+
+def test_eval_with_empty_document_exits_0(cli_corpus, trained_dir, tmp_path, capsys):
+    test_csv = with_empty_document(tmp_path, cli_corpus["test"])
+    code, stdout, err = run_cli(capsys, "eval", "--model-dir", trained_dir, "--test-csv", test_csv)
+    assert code == 0, err
+    assert "test_n_samples=91" in stdout
+
+
+def test_export_features_with_empty_document_exits_0(cli_corpus, trained_dir, tmp_path, capsys):
+    csv_path = with_empty_document(tmp_path, cli_corpus["test"])
+    tsv = str(tmp_path / "features.tsv")
+    code, _, err = run_cli(
+        capsys, "export-features", "--model-dir", trained_dir, "--csv", csv_path, "--out", tsv
+    )
+    assert code == 0, err
+    lines = open(tsv).read().splitlines()
+    assert len(lines) == 91
+    assert lines[-1].split("\t")[0] == "1"
+
+
+@pytest.fixture()
+def full_disk(monkeypatch):
+    """full_disk(name): a file opened for writing whose name starts with name fails on its first write."""
+    real_open = open
+
+    def arm(name):
+        def fake_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and os.path.basename(str(file)).startswith(name):
+                real_write = fh.write
+
+                def write(text):
+                    real_write(text[:1])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr("builtins.open", fake_open)
+
+    return arm
+
+
+def keeps_previous_file(directory, name):
+    """Write 'previous' to directory/name; the returned check asserts it is intact and no temp file is left."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("previous\n")
+
+    def check():
+        assert open(path, encoding="utf-8").read() == "previous\n"
+        assert not [f for f in os.listdir(directory) if f.endswith(".tmp")]
+
+    return check
+
+
+def test_failed_timing_write_keeps_previous_file(cli_corpus, tmp_path, capsys, full_disk):
+    out = str(tmp_path / "run")
+    check = keeps_previous_file(out, "timing.txt")
+    full_disk("timing.txt")
+    code, _, err = run_cli(
+        capsys, "train", "--train-csv", cli_corpus["train"], "--test-csv", cli_corpus["test"],
+        "--labels", "sport,finance,science", "--epochs", "1", "--out", out, *FAST,
+    )
+    assert code == 1 and "No space left" in err
+    check()
+
+
+def test_failed_export_write_keeps_previous_file(cli_corpus, trained_dir, tmp_path, capsys, full_disk):
+    check = keeps_previous_file(str(tmp_path), "features.tsv")
+    full_disk("features.tsv")
+    code, _, err = run_cli(
+        capsys, "export-features", "--model-dir", trained_dir, "--csv", cli_corpus["test"],
+        "--out", str(tmp_path / "features.tsv"), "--limit", "30",
+    )
+    assert code == 1 and "No space left" in err
+    check()
+
+
 @pytest.mark.parametrize("damage", ["cut", "pad"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)
@@ -301,6 +400,15 @@ def test_ablate_runs_every_mode_and_seed_from_one_base(tmp_path, capsys, train_c
     assert train_calls == [
         replace(base, ablation=mode, seed=seed) for mode in ABLATION_MODES for seed in (3, 4)
     ]
+
+
+def test_failed_ablation_table_write_keeps_previous_file(tmp_path, capsys, train_calls, full_disk):
+    out = str(tmp_path / "sweep")
+    check = keeps_previous_file(out, "ablation.tsv")
+    full_disk("ablation.tsv")
+    code, _, err = run_cli(capsys, "ablate", "--labels", "a,b", *CSV_FLAGS, "--seeds", "3", "--out", out)
+    assert code == 1 and "No space left" in err
+    check()
 
 
 @pytest.mark.parametrize("file_cfg, key", [

@@ -144,6 +144,12 @@ def test_encode_document_structure():
     assert vocab.decode(ids) == ["hello", "world"]
 
 
+@pytest.mark.parametrize("text", ["", " \t "])
+def test_encode_document_without_tokens_reads_as_unk(text):
+    # an empty document still has one key for attention to weigh
+    assert encode_document(Document(text, 0), Vocab.from_tokens(["w"])) == [CLS, UNK, SEP]
+
+
 def test_encode_document_truncation_keeps_sep():
     vocab = Vocab.from_tokens(["w"])
     ids = encode_document(Document("w " * 50, 0), vocab, max_len=8)
