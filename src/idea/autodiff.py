@@ -9,6 +9,7 @@ for gradient checking, float32 is fine for training.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,24 +275,87 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _result(data, tuple(parts), backward_fn, "concat")
 
 
+def _dropout_keep(shape, dtype, rate: float, training: bool, rng) -> np.ndarray | None:
+    """dropout's 0/1 keep mask for an output of this shape; None when dropout is the identity."""
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout: an rng is required when training")
+    return (rng.random(shape) >= rate).astype(dtype)
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Zero a fraction of entries and rescale survivors by 1/(1-rate).
 
     The identity when training is False or rate is 0.
     """
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    keep = _dropout_keep(x.data.shape, x.data.dtype, rate, training, rng)
+    if keep is None:
         return x
-    if rng is None:
-        raise ValueError("dropout: an rng is required when training")
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     scale_ = 1.0 / (1.0 - rate)
 
     def backward_fn(g):
         return (g * keep * scale_,)
 
     return _result(x.data * keep * scale_, (x,), backward_fn, "dropout")
+
+
+def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: Tensor,
+                   Wv: Tensor, bv: Tensor, Wo: Tensor, bo: Tensor, heads: int, rate: float,
+                   training: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over K x S x d, as one tape node.
+
+    key_bias (see mask_bias) broadcasts to the K x heads x S x S scores.
+    Dropout, as in dropout(), hits the attention weights and then the
+    output, drawing from rng in that order. The backward pass is written
+    out by hand; its weight gradients are single GEMMs over all K*S rows.
+    """
+    xd = x.data
+    k_batch, seq, d = xd.shape
+    dk = d // heads
+    alpha = 1.0 / math.sqrt(dk)
+
+    def split(t):  # K x S x d -> K x heads x S x dk, a view
+        return t.reshape(k_batch, seq, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t):  # K x heads x S x dk -> (K*S) x d
+        return t.transpose(0, 2, 1, 3).reshape(k_batch * seq, d)
+
+    q = split(xd @ Wq.data + bq.data)
+    k = split(xd @ Wk.data)
+    v = split(xd @ Wv.data + bv.data)
+    scores = (q @ k.swapaxes(-1, -2)) * alpha + key_bias
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    keep_p = _dropout_keep(probs.shape, xd.dtype, rate, training, rng)
+    scale_ = 1.0 / (1.0 - rate)
+    weights = probs if keep_p is None else probs * keep_p * scale_
+    ctx = merge(weights @ v)
+    out = ctx.reshape(xd.shape) @ Wo.data + bo.data
+    keep_o = _dropout_keep(out.shape, xd.dtype, rate, training, rng)
+    if keep_o is not None:
+        out = out * keep_o * scale_
+
+    def backward_fn(g):
+        if keep_o is not None:
+            g = g * keep_o * scale_
+        g = g.reshape(k_batch * seq, d)
+        gctx = split(g @ Wo.data.T)
+        gweights = gctx @ v.swapaxes(-1, -2)
+        if keep_p is not None:
+            gweights = gweights * keep_p * scale_
+        gscores = probs * (gweights - np.sum(gweights * probs, axis=-1, keepdims=True)) * alpha
+        gq = merge(gscores @ k)
+        gk = merge(gscores.swapaxes(-1, -2) @ q)
+        gv = merge(weights.swapaxes(-1, -2) @ gctx)
+        x2 = xd.reshape(k_batch * seq, d)
+        gx = gq @ Wq.data.T + gk @ Wk.data.T + gv @ Wv.data.T
+        return (gx.reshape(xd.shape), x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
+                gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
+
+    return _result(out, (x, Wq, bq, Wk, Wv, bv, Wo, bo), backward_fn, "self_attention")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -302,16 +366,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return _result(data, (x,), backward_fn, "reshape")
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward_fn(g):
-        return (g.transpose(inv),)
-
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,), backward_fn, "transpose")
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

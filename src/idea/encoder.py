@@ -7,7 +7,6 @@ norms, pooler) and a bag-of-embeddings fallback (embeddings + pooler only).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,23 +91,8 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _self_attention(x, key_bias, params, prefix, config, training, rng):
-    k_batch, seq, d = x.shape
-    heads = config.n_heads
-    dk = d // heads
-
-    def split_heads(t):
-        return ad.transpose(ad.reshape(t, (k_batch, seq, heads, dk)), (0, 2, 1, 3))
-
-    q = split_heads(_linear(x, params[prefix + "attn.Wq"], params[prefix + "attn.bq"]))
-    k = split_heads(ad.matmul(x, params[prefix + "attn.Wk"]))
-    v = split_heads(_linear(x, params[prefix + "attn.Wv"], params[prefix + "attn.bv"]))
-
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    probs = ad.softmax(scores, axis=-1, bias=key_bias)
-    probs = ad.dropout(probs, config.dropout, training, rng)
-    ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (k_batch, seq, d))
-    out = _linear(ctx, params[prefix + "attn.Wo"], params[prefix + "attn.bo"])
-    return ad.dropout(out, config.dropout, training, rng)
+    weights = (params[prefix + "attn." + name] for name in ("Wq", "bq", "Wk", "Wv", "bv", "Wo", "bo"))
+    return ad.self_attention(x, key_bias, *weights, config.n_heads, config.dropout, training, rng)
 
 
 def _encoder_layer(x, key_bias, params, prefix, config, training, rng):

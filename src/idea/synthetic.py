@@ -11,7 +11,7 @@ import csv
 
 import numpy as np
 
-from .data import tokenize
+from .data import atomic_open, tokenize
 
 NAME_POOL = [
     "sport",
@@ -107,7 +107,7 @@ def generate_rows(
 
 def write_csv(rows: list[tuple[int, str, str]], path) -> None:
     """Rows as `"<1-based class>","<title>","<description>"`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
         for cls, title, desc in rows:
             writer.writerow([cls + 1, title, desc])

@@ -285,6 +285,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
     best: tuple[float, int] | None = None  # (accuracy, epoch index)
     best_snapshot = None
     step = 0
+    norm = None  # the previous step's pre-clip gradient norm while the next loss is checked
     stop = False
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -302,9 +303,10 @@ def train(config: TrainConfig, log=print) -> RunResult:
             loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=dropout_rng)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
+                prev = "n/a (first step)" if norm is None else f"{norm} (previous step)"
                 raise NonFiniteLossError(
                     f"non-finite loss {loss_val} at step {step + 1} "
-                    f"(epoch {epoch}, lr {config.learning_rate}, grad_norm n/a)"
+                    f"(epoch {epoch}, lr {config.learning_rate}, grad_norm {prev})"
                 )
             backward(loss)
             norm = clip_grads(model.params, config.grad_clip)

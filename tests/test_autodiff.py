@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from idea import autodiff as ad
+from idea import encoder
+from idea.cli import gradcheck_setup
 from idea.autodiff import (
     DegenerateSliceError,
     ShapeError,
@@ -402,12 +404,11 @@ def test_forward_deterministic(rng):
 # supporting encoder ops
 
 
-def test_reshape_transpose_slice_gradcheck(rng):
+def test_reshape_slice_gradcheck(rng):
     x = leaf(rng, 2, 6, 4)
 
     def fn():
-        y = ad.transpose(ad.reshape(x, (2, 6, 2, 2)), (0, 2, 1, 3))
-        y = ad.slice_axis(y, 2, 1, 5)
+        y = ad.slice_axis(ad.reshape(x, (2, 6, 2, 2)), 1, 1, 5)
         return ad.reduce(ad.tanh(y))
 
     report = grad_check(fn, {"x": x}, step=1e-6)
@@ -494,6 +495,7 @@ def _op_cases(rng):
 
     mask = np.array([[True, True, False], [True, False, False]])
     gain = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    key_bias = ad.mask_bias(mask, np.float32)[:, None, None, :]
     return [
         ("add", ad.add, (f32(2, 3), f32(3))),
         ("mul", ad.mul, (f32(2, 3), f32(2, 1))),
@@ -509,7 +511,9 @@ def _op_cases(rng):
         ("concat", lambda a, b: ad.concat([a, b], axis=1), (f32(2, 3), f32(2, 2))),
         ("dropout", lambda x: ad.dropout(x, 0.5, True, np.random.default_rng(0)), (f32(4, 3),)),
         ("reshape", lambda x: ad.reshape(x, (3, 2)), (f32(2, 3),)),
-        ("transpose", lambda x: ad.transpose(x, (1, 0)), (f32(2, 3),)),
+        ("self_attention",
+         lambda x, *w: ad.self_attention(x, key_bias, *w, 2, 0.5, True, np.random.default_rng(0)),
+         (f32(2, 3, 4), f32(4, 4), f32(4), f32(4, 4), f32(4, 4), f32(4), f32(4, 4), f32(4))),
         ("slice", lambda x: ad.slice_axis(x, 1, 1, 3), (f32(2, 3),)),
         ("broadcast", lambda x: ad.broadcast_to(x, (2, 3)), (f32(1, 3),)),
         ("embedding", lambda t: ad.embedding(t, np.array([[0, 2], [1, 1]])), (f32(4, 3),)),
@@ -529,3 +533,118 @@ def test_float32_ops_stay_float32(rng):
         assert [g.dtype for g in grads] == [np.float32] * len(leaves), name
         backward(ad.reduce(out))
         assert all(leaf.grad.dtype == np.float32 for leaf in leaves), name
+
+
+def test_every_op_of_the_gradcheck_model_has_a_dtype_case(rng):
+    # a new op on the model's tape must join _op_cases, or the float32 test skips it
+    model, batch, fn = gradcheck_setup(0)
+    ops = set()
+    for loss in (fn(), model.loss(batch, 0.01, training=True, rng=np.random.default_rng(0))[0]):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            if node.lineage is not None:
+                ops.add(node.lineage.op)
+                fresh = [p for p in node.lineage.inputs if id(p) not in seen]
+                seen.update(id(p) for p in fresh)
+                stack.extend(fresh)
+    assert "self_attention" in ops and "dropout" in ops
+    assert ops <= {name for name, _, _ in _op_cases(rng)}
+
+
+# ---------------------------------------------------------------------------
+# fused self-attention
+
+
+@st.composite
+def attention_cases(draw):
+    """K x S x (heads*dk) input shapes, a K x S key mask keeping at least one key per row, and a seed."""
+    k, s = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    heads, dk = draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
+    mask = draw(hnp.arrays(bool, (k, s)))
+    mask[np.arange(k), draw(hnp.arrays(np.int64, k, elements=st.integers(0, s - 1)))] = True
+    return k, s, heads, dk, mask, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("training", [False, True])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=attention_cases())
+def test_self_attention_gradcheck(training, case):
+    k, s, heads, dk, mask, seed = case
+    d = heads * dk
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, k, s, d)
+    weights = {name: leaf(rng, *shape) for name, shape in
+               [("Wq", (d, d)), ("bq", (d,)), ("Wk", (d, d)), ("Wv", (d, d)), ("bv", (d,)),
+                ("Wo", (d, d)), ("bo", (d,))]}
+    tgt = Tensor(rng.normal(size=(k, s, d)))
+    key_bias = ad.mask_bias(mask, np.float64)[:, None, None, :]
+
+    def fn():  # a fresh rng per call, so every call drops the same entries
+        out = ad.self_attention(x, key_bias, *weights.values(), heads, 0.3, training,
+                                np.random.default_rng(seed))
+        return ad.reduce(ad.mul(out, tgt))
+
+    report = grad_check(fn, {"x": x, **weights}, step=1e-6)
+    assert report.max_relative_error < 1e-6
+
+
+@pytest.mark.parametrize("rate, rng", [(1.0, np.random.default_rng(0)), (0.1, None)])
+def test_self_attention_keeps_dropout_checks(rate, rng):
+    x = Tensor(np.ones((1, 2, 2)))
+    w, b = Tensor(np.eye(2)), Tensor(np.zeros(2))
+    with pytest.raises(ValueError, match="dropout"):
+        ad.self_attention(x, np.zeros((1, 1, 1, 2)), w, b, w, w, b, w, b, 1, rate, True, rng)
+
+
+def _twenty_node_attention(x, key_bias, params, prefix, config, training, rng):
+    """The op chain self_attention replaced, in plain numpy: projections, contiguous
+    head split, key transpose, scale, bias softmax, dropout, context, merge, output."""
+    K, S, d = x.shape
+    heads = config.n_heads
+    dk = d // heads
+
+    def w(name):
+        return params[prefix + "attn." + name].data
+
+    def split(t):
+        return np.ascontiguousarray(t.reshape(K, S, heads, dk).transpose(0, 2, 1, 3))
+
+    def dropout(t):
+        if not training:
+            return t
+        keep = (rng.random(t.shape) >= config.dropout).astype(t.dtype)
+        return t * keep * (1.0 / (1.0 - config.dropout))
+
+    q = split(np.matmul(x.data, w("Wq")) + w("bq"))
+    k = split(np.matmul(x.data, w("Wk")))
+    v = split(np.matmul(x.data, w("Wv")) + w("bv"))
+    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
+    scores = scores + key_bias
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = dropout(e / e.sum(axis=-1, keepdims=True))
+    ctx = np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(K, S, d)
+    return Tensor(dropout(np.matmul(ctx, w("Wo")) + w("bo")))
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", [(32, 24, 64, 4), (8, 50, 64, 4), (3, 7, 16, 4),
+                                                    (2, 5, 6, 3), (1, 1, 8, 2)])
+def test_encode_matches_twenty_node_attention_bitwise(monkeypatch, training, k_batch, seq, d, heads):
+    rng = np.random.default_rng(seq)
+    config = encoder.EncoderConfig(vocab_size=40, d=d, n_layers=2, n_heads=heads, max_positions=64)
+    params = encoder.init_encoder_params(config, rng, np.float32)
+    for p in params.values():
+        p.data[...] = rng.normal(0.0, 0.3, size=p.shape)
+    ids = rng.integers(0, 40, size=(k_batch, seq))
+    mask = rng.random((k_batch, seq)) > 0.3
+    mask[:, 0] = True
+
+    def run():
+        draws = np.random.default_rng(7)
+        out = encoder.encode(ids, mask, config, params, training, draws)
+        return out.tokens.data.tobytes() + out.pooled.data.tobytes(), draws.random()
+
+    fused = run()
+    monkeypatch.setattr(encoder, "_self_attention", _twenty_node_attention)
+    assert fused == run()

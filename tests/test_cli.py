@@ -252,6 +252,14 @@ def test_failed_export_write_keeps_previous_file(cli_corpus, trained_dir, tmp_pa
     check()
 
 
+def test_failed_synthetic_write_keeps_previous_file(tmp_path, capsys, full_disk):
+    check = keeps_previous_file(str(tmp_path), "corpus.csv")
+    full_disk("corpus.csv")
+    code, _, err = run_cli(capsys, "make-synthetic", "--out", str(tmp_path / "corpus.csv"), "--docs", "30")
+    assert code == 1 and "No space left" in err
+    check()
+
+
 @pytest.mark.parametrize("damage", ["cut", "pad"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)

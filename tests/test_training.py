@@ -6,6 +6,7 @@ import pytest
 
 from idea.autodiff import Tensor, backward
 from idea.data import Document, LabelSet, Vocab, build_vocab, load_csv, make_batches
+from idea.model import IdeaModel
 from idea.training import (
     AdamW,
     Metrics,
@@ -310,6 +311,34 @@ def test_train_aborts_on_nonfinite_loss(synthetic_corpus):
         train(cfg, log=lambda m: None)
     assert "step" in str(err.value)
     assert "1e+30" in str(err.value)
+
+
+@pytest.mark.parametrize("bad_step", [1, 3])
+def test_nonfinite_loss_names_previous_grad_norm(synthetic_corpus, monkeypatch, bad_step):
+    norms, losses = [], []
+    real_loss = IdeaModel.loss
+
+    def clip(params, max_norm):
+        norms.append(clip_grads(params, max_norm))
+        return norms[-1]
+
+    def loss(self, *args, **kwargs):
+        out = real_loss(self, *args, **kwargs)
+        losses.append(out[0])
+        if len(losses) == bad_step:
+            out[0].data = np.full_like(out[0].data, np.nan)
+        return out
+
+    monkeypatch.setattr("idea.training.clip_grads", clip)
+    monkeypatch.setattr(IdeaModel, "loss", loss)
+    with pytest.raises(NonFiniteLossError) as err:
+        train(_fast_config(synthetic_corpus), log=lambda m: None)
+    assert f"at step {bad_step} " in str(err.value)
+    assert len(norms) == bad_step - 1
+    if bad_step == 1:
+        assert "grad_norm n/a (first step)" in str(err.value)
+    else:
+        assert f"grad_norm {norms[-1]} (previous step)" in str(err.value)
 
 
 def test_train_config_validation():
