@@ -12,8 +12,8 @@ import numpy as np
 from . import synthetic
 from .autodiff import grad_check
 from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
-from .encoder import BACKENDS, EncoderConfig
-from .head import ABLATION_MODES, GAMMA_MODES
+from .encoder import EncoderConfig
+from .head import ABLATION_MODES
 from .model import IdeaModel
 from .training import (
     NonFiniteLossError,
@@ -97,8 +97,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
         flag("--seed", "random seed", type=int),
         flag("--ablation", "feature blocks entering the classifier input",
              choices=sorted(ABLATION_FLAGS)),
-        flag("--gamma-mode", "similarity-weight granularity (per-batch-literal couples samples)",
-             choices=GAMMA_MODES),
         flag("--train-limit", "stratified subsample size for the training CSV", type=int),
         flag("--test-limit", "stratified subsample size for the test CSV", type=int),
         flag("--max-len", "document truncation length in tokens", type=int),
@@ -106,7 +104,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
         flag("--d", "embedding width", type=int),
         flag("--n-layers", "encoder layers", type=int),
         flag("--n-heads", "attention heads", type=int),
-        flag("--backend", "encoder backend", choices=BACKENDS),
         flag("--min-freq", "minimum token frequency kept in the vocabulary", type=int),
         flag("--vocab-max-size", "vocabulary size cap including specials", type=int),
         flag("--out", "output directory"),
@@ -120,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", formatter_class=fmt, help="train and report test metrics")
-    p_train.set_defaults(train_flags=_add_train_args(p_train))
+    p_train.set_defaults(run=cmd_train, train_flags=_add_train_args(p_train))
 
     p_eval = sub.add_parser("eval", formatter_class=fmt, help="evaluate a saved model")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("--model-dir", required=True, help="directory with model.ckpt and vocab.txt")
     p_eval.add_argument("--test-csv", required=True)
     p_eval.add_argument("--test-limit", type=int, default=None)
@@ -134,18 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate", formatter_class=fmt,
         help="run every ablation mode over a seed sweep and compare against the full model",
     )
-    p_ablate.set_defaults(train_flags=_add_train_args(p_ablate))
+    p_ablate.set_defaults(run=cmd_ablate, train_flags=_add_train_args(p_ablate))
     p_ablate.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
 
     p_grad = sub.add_parser(
         "gradcheck", formatter_class=fmt,
         help="finite-difference check of every gradient on a tiny model",
     )
+    p_grad.set_defaults(run=cmd_gradcheck)
     p_grad.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_grad.add_argument("--step", type=float, default=1e-5, help="central-difference step")
 
     p_exp = sub.add_parser("export-features", formatter_class=fmt,
                            help="dump per-sample fused feature vectors as TSV")
+    p_exp.set_defaults(run=cmd_export_features)
     p_exp.add_argument("--model-dir", required=True)
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
@@ -156,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("make-synthetic", formatter_class=fmt,
                            help="emit a synthetic keyword-bag CSV corpus")
+    p_syn.set_defaults(run=cmd_make_synthetic)
     p_syn.add_argument("--out", required=True, help="output CSV path")
     p_syn.add_argument("--docs", type=int, default=300)
     p_syn.add_argument("--classes", type=int, default=3)
@@ -403,19 +404,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if ns.command == "train":
-            return cmd_train(ns)
-        if ns.command == "eval":
-            return cmd_eval(ns)
-        if ns.command == "ablate":
-            return cmd_ablate(ns)
-        if ns.command == "gradcheck":
-            return cmd_gradcheck(ns)
-        if ns.command == "export-features":
-            return cmd_export_features(ns)
-        if ns.command == "make-synthetic":
-            return cmd_make_synthetic(ns)
-        raise ValueError(f"unknown command {ns.command!r}")
+        return ns.run(ns)
     except (ValueError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"idea: error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +98,9 @@ class Vocab:
 
 @dataclass
 class LabelSet:
-    """Class names in dataset order, plus their spans in the encoded joint sequence."""
+    """Class names in dataset order."""
 
     names: list[str]
-    token_spans: list[tuple[int, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -176,7 +175,7 @@ def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], li
     """Joint comma-separated label sequence plus per-name [start, stop) spans.
 
     Spans cover only the tokens of each name; CLS, SEP and the comma
-    separators are excluded. The spans are also stored on the LabelSet.
+    separators are excluded.
     """
     ids = [CLS]
     spans: list[tuple[int, int]] = []
@@ -189,7 +188,6 @@ def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], li
         ids.extend(vocab.encode(toks))
         spans.append((start, len(ids)))
     ids.append(SEP)
-    labels.token_spans = spans
     return ids, spans
 
 

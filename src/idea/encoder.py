@@ -1,9 +1,8 @@
 """Shared-weight encoder: token ids -> per-token vectors + a pooled sentence vector.
 
 The same parameter set encodes documents and the joint label sequence,
-so both land in one latent space. Two backends: a small transformer
-(embeddings, masked multi-head self-attention, feed-forward, post-layer
-norms, pooler) and a bag-of-embeddings fallback (embeddings + pooler only).
+so both land in one latent space: a small transformer (embeddings, masked
+multi-head self-attention, feed-forward, post-layer norms, pooler).
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 INIT_STD = 0.02
-BACKENDS = ("mini-transformer", "bag-of-embeddings")
+BACKEND = "mini-transformer"
 
 
 @dataclass
@@ -26,7 +25,7 @@ class EncoderConfig:
     n_heads: int = 4
     ffn_dim: int | None = None  # defaults to 4*d
     max_positions: int = 512
-    backend: str = "mini-transformer"  # one of BACKENDS
+    backend: str = BACKEND  # the only encoder; kept as a checkpoint header field
     dropout: float = 0.1
     layer_norm_eps: float = 1e-12
 
@@ -35,8 +34,8 @@ class EncoderConfig:
             self.ffn_dim = 4 * self.d
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown encoder backend {self.backend!r}")
+        if self.backend != BACKEND:
+            raise ValueError(f"unknown encoder backend {self.backend!r}; expected {BACKEND!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -64,23 +63,22 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator, dtype=n
         "emb_ln.g": ones(d),
         "emb_ln.b": zeros(d),
     }
-    if config.backend == "mini-transformer":
-        for i in range(config.n_layers):
-            p = f"layer{i}."
-            for name in ("Wq", "Wk", "Wv", "Wo"):
-                params[p + "attn." + name] = normal(d, d)
-            # no key bias: softmax scores are invariant to a constant shift
-            # per query, so a key bias would be permanently dead weight
-            for name in ("bq", "bv", "bo"):
-                params[p + "attn." + name] = zeros(d)
-            params[p + "ln1.g"] = ones(d)
-            params[p + "ln1.b"] = zeros(d)
-            params[p + "ffn.W1"] = normal(d, f)
-            params[p + "ffn.b1"] = zeros(f)
-            params[p + "ffn.W2"] = normal(f, d)
-            params[p + "ffn.b2"] = zeros(d)
-            params[p + "ln2.g"] = ones(d)
-            params[p + "ln2.b"] = zeros(d)
+    for i in range(config.n_layers):
+        p = f"layer{i}."
+        for name in ("Wq", "Wk", "Wv", "Wo"):
+            params[p + "attn." + name] = normal(d, d)
+        # no key bias: softmax scores are invariant to a constant shift
+        # per query, so a key bias would be permanently dead weight
+        for name in ("bq", "bv", "bo"):
+            params[p + "attn." + name] = zeros(d)
+        params[p + "ln1.g"] = ones(d)
+        params[p + "ln1.b"] = zeros(d)
+        params[p + "ffn.W1"] = normal(d, f)
+        params[p + "ffn.b1"] = zeros(f)
+        params[p + "ffn.W2"] = normal(f, d)
+        params[p + "ffn.b2"] = zeros(d)
+        params[p + "ln2.g"] = ones(d)
+        params[p + "ln2.b"] = zeros(d)
     params["pooler.W"] = normal(d, d)
     params["pooler.b"] = zeros(d)
     return params
@@ -127,11 +125,10 @@ def encode(
     x = ad.add(x, ad.slice_axis(params["pos_emb"], 0, 0, seq))
     x = ad.layernorm(x, params["emb_ln.g"], params["emb_ln.b"], config.layer_norm_eps)
     x = ad.dropout(x, config.dropout, training, rng)
-    if config.backend == "mini-transformer":
-        # PAD keys get exactly zero weight in every layer
-        key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]
-        for i in range(config.n_layers):
-            x = _encoder_layer(x, key_bias, params, f"layer{i}.", config, training, rng)
+    # PAD keys get exactly zero weight in every layer
+    key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]
+    for i in range(config.n_layers):
+        x = _encoder_layer(x, key_bias, params, f"layer{i}.", config, training, rng)
     # zero PAD rows so padded ids cannot leak into anything downstream
     x = ad.mul(x, Tensor(mask[:, :, None].astype(x.data.dtype)))
     cls = ad.reshape(ad.slice_axis(x, 1, 0, 1), (k_batch, config.d))

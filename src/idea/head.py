@@ -25,7 +25,7 @@ _Z_BLOCKS = {
 }
 ABLATION_MODES = tuple(_Z_BLOCKS)
 
-GAMMA_MODES = ("per-sample", "per-batch-literal")
+GAMMA_MODE = "per-sample"
 
 
 @dataclass(frozen=True)
@@ -166,37 +166,27 @@ def similarity_features(c: Tensor, s: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def weighted_features(
-    p: Tensor, d_feat: Tensor, gamma_mode: str = "per-sample"
+    p: Tensor, d_feat: Tensor, gamma_mode: str = GAMMA_MODE
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Mix the similarity blocks: gamma scales p, eta = 1 - gamma scales d.
 
     gamma = exp(mean(d)) / (exp(mean(p)) + exp(mean(d))), computed per
-    sample over the feature dimension by default. "per-batch-literal"
-    instead sums each block over the batch before averaging, yielding one
-    shared weight per batch (kept only for comparison runs; it makes a
-    sample's features depend on its batch neighbours).
+    sample over the feature dimension, so a sample's weight does not
+    depend on its batch neighbours.
     """
     if p.shape != d_feat.shape:
         raise ad.ShapeError(f"weighted_features: shapes {p.shape} and {d_feat.shape} differ")
-    if gamma_mode not in GAMMA_MODES:
-        raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected one of {GAMMA_MODES}")
-    k_batch = p.shape[0]
-    if gamma_mode == "per-sample":
-        mean_p = ad.reduce(p, axis=1, kind="mean", keepdims=True)  # K x 1
-        mean_d = ad.reduce(d_feat, axis=1, kind="mean", keepdims=True)
-        pair = ad.softmax(ad.concat([mean_p, mean_d], axis=1), axis=1)  # K x 2
-        gamma = ad.slice_axis(pair, 1, 1, 2)  # K x 1
-    else:
-        mean_p = ad.reshape(ad.reduce(ad.reduce(p, axis=0, kind="sum"), kind="mean"), (1, 1))
-        mean_d = ad.reshape(ad.reduce(ad.reduce(d_feat, axis=0, kind="sum"), kind="mean"), (1, 1))
-        pair = ad.softmax(ad.concat([mean_p, mean_d], axis=1), axis=1)  # 1 x 2
-        gamma = ad.slice_axis(pair, 1, 1, 2)  # 1 x 1
+    if gamma_mode != GAMMA_MODE:
+        raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {GAMMA_MODE!r}")
+    mean_p = ad.reduce(p, axis=1, kind="mean", keepdims=True)  # K x 1
+    mean_d = ad.reduce(d_feat, axis=1, kind="mean", keepdims=True)
+    pair = ad.softmax(ad.concat([mean_p, mean_d], axis=1), axis=1)  # K x 2
+    gamma = ad.slice_axis(pair, 1, 1, 2)  # K x 1
     # eta computed as 1 - gamma so the pair sums to exactly 1.0
     eta = ad.add(Tensor(np.ones((1, 1), dtype=gamma.dtype)), ad.scale(gamma, -1.0))
     p_weighted = ad.mul(gamma, p)
     d_weighted = ad.mul(eta, d_feat)
-    gamma_flat = ad.reshape(ad.broadcast_to(gamma, (k_batch, 1)), (k_batch,))
-    return p_weighted, d_weighted, gamma_flat
+    return p_weighted, d_weighted, ad.reshape(gamma, (p.shape[0],))
 
 
 def assemble_z(

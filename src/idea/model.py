@@ -36,14 +36,14 @@ class IdeaModel:
         label_ids: list[int],
         label_spans: list[tuple[int, int]],
         ablation: AblationConfig = AblationConfig("full"),
-        gamma_mode: str = "per-sample",
+        gamma_mode: str = hd.GAMMA_MODE,
         dtype=np.float32,
         rng: np.random.Generator | None = None,
         classifier_init: str = "zeros",
         params: dict[str, Tensor] | None = None,
     ):
-        if gamma_mode not in hd.GAMMA_MODES:
-            raise ValueError(f"unknown gamma mode {gamma_mode!r}")
+        if gamma_mode != hd.GAMMA_MODE:
+            raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {hd.GAMMA_MODE!r}")
         self.encoder_config = encoder_config
         self.label_names = list(label_names)
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
@@ -157,7 +157,8 @@ class IdeaModel:
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "IdeaModel":
-        """Read a checkpoint written by save; a short or over-long file raises ValueError."""
+        """Read a checkpoint written by save; any damage raises a ValueError naming the file."""
+        params: dict[str, Tensor] = {}
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
@@ -166,31 +167,35 @@ class IdeaModel:
             blob = fh.read(size)
             if len(blob) < size:
                 raise ValueError(f"{path}: truncated checkpoint header")
-            header = json.loads(blob.decode("utf-8"))
-            params: dict[str, Tensor] = {}
-            for entry in header["params"]:
-                shape = tuple(entry["shape"])
+            try:
+                header = json.loads(blob.decode("utf-8"))
+                model = cls(
+                    EncoderConfig(**header["encoder"]),
+                    header["label_names"],
+                    header["label_ids"],
+                    [tuple(s) for s in header["label_spans"]],
+                    ablation=AblationConfig(header["ablation"]),
+                    gamma_mode=header["gamma_mode"],
+                    dtype=dtype,
+                    params=params,
+                )
+                entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+            except KeyError as exc:
+                raise ValueError(f"{path}: checkpoint header lacks key {exc}") from None
+            except (TypeError, ValueError) as exc:  # also bad UTF-8 or JSON, a rejected value
+                raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
+            for name, shape in entries:
                 n = int(np.prod(shape)) if shape else 1
                 buf = fh.read(4 * n)
                 if len(buf) < 4 * n:
                     raise ValueError(
-                        f"{path}: truncated checkpoint: parameter {entry['name']} needs "
+                        f"{path}: truncated checkpoint: parameter {name} needs "
                         f"{4 * n} bytes, found {len(buf)}"
                     )
                 arr = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(dtype)
-                params[entry["name"]] = Tensor(arr, requires_grad=True)
+                params[name] = Tensor(arr, requires_grad=True)
             if fh.read(1):
                 raise ValueError(f"{path}: trailing bytes after the last parameter")
-        model = cls(
-            EncoderConfig(**header["encoder"]),
-            header["label_names"],
-            header["label_ids"],
-            [tuple(s) for s in header["label_spans"]],
-            ablation=AblationConfig(header["ablation"]),
-            gamma_mode=header["gamma_mode"],
-            dtype=dtype,
-            params=params,
-        )
         return model
 
     def copy_param_data(self) -> dict[str, np.ndarray]:

@@ -21,8 +21,8 @@ from .data import (
     stratified_sample,
     stratified_split,
 )
-from .encoder import EncoderConfig
-from .head import AblationConfig
+from .encoder import BACKEND, EncoderConfig
+from .head import GAMMA_MODE, AblationConfig
 from .model import IdeaModel
 
 
@@ -45,7 +45,7 @@ class TrainConfig:
     epochs: int = 2
     seed: int = 0
     ablation: str = "full"
-    gamma_mode: str = "per-sample"
+    gamma_mode: str = GAMMA_MODE  # the only value IdeaModel accepts
     max_len: int = 128
     max_steps: int | None = None
     grad_clip: float = 1.0
@@ -55,7 +55,7 @@ class TrainConfig:
     d: int = 64
     n_layers: int = 2
     n_heads: int = 4
-    backend: str = "mini-transformer"
+    backend: str = BACKEND  # the only value EncoderConfig accepts
     max_positions: int = 512
     min_freq: int = 1
     vocab_max_size: int | None = None

@@ -3,10 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from idea import synthetic
+
+# every property test is reproducible run to run; each sets only its own max_examples
+settings.register_profile("idea", deadline=None, derandomize=True, database=None)
+settings.load_profile("idea")
 
 
 @pytest.fixture(scope="session")

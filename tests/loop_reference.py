@@ -71,15 +71,3 @@ def weighted_features_ref(p, d):
         d_w.append([eta * v for v in d[k]])
         gammas.append(gamma)
     return p_w, d_w, gammas
-
-
-def weighted_features_batch_ref(p, d):
-    """The batch-coupled variant: sum each block over samples, then average."""
-    k_n, dim = len(p), len(p[0])
-    mp = sum(sum(row) for row in p) / dim
-    md = sum(sum(row) for row in d) / dim
-    gamma = math.exp(md) / (math.exp(mp) + math.exp(md))
-    eta = 1.0 - gamma
-    p_w = [[gamma * v for v in row] for row in p]
-    d_w = [[eta * v for v in row] for row in d]
-    return p_w, d_w, gamma

@@ -128,7 +128,7 @@ def masked_scores(draw):
     return scores, mask
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(masked_scores())
 def test_softmax_key_bias_matches_where_formula_bitwise(case):
     scores, mask = case
@@ -567,7 +567,7 @@ def attention_cases(draw):
 
 
 @pytest.mark.parametrize("training", [False, True])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(case=attention_cases())
 def test_self_attention_gradcheck(training, case):
     k, s, heads, dk, mask, seed = case

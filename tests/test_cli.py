@@ -260,14 +260,26 @@ def test_failed_synthetic_write_keeps_previous_file(tmp_path, capsys, full_disk)
     check()
 
 
-@pytest.mark.parametrize("damage", ["cut", "pad"])
+def without_label_spans(data: bytes) -> bytes:
+    """The checkpoint bytes with "label_spans" dropped from the JSON header."""
+    size = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + size])
+    del header["label_spans"]
+    blob = json.dumps(header).encode("utf-8")
+    return data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + size:]
+
+
+@pytest.mark.parametrize("damage", ["cut", "pad", "no-label-spans"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)
     ckpt = os.path.join(model_dir, "model.ckpt")
     with open(ckpt, "rb") as fh:
         data = fh.read()
     with open(ckpt, "wb") as fh:
-        fh.write(data[:-1] if damage == "cut" else data + b"\x00")
+        if damage == "no-label-spans":
+            fh.write(without_label_spans(data))
+        else:
+            fh.write(data[:-1] if damage == "cut" else data + b"\x00")
     code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", cli_corpus["test"])
     assert code == 1
     assert ckpt in err
@@ -441,6 +453,29 @@ def test_config_file_bad_value_exits_1(tmp_path, capsys, train_calls, file_cfg, 
     assert train_calls == []
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("flag, value", [
+    ("--gamma-mode", "per-batch-literal"), ("--backend", "bag-of-embeddings"),
+])
+def test_removed_model_flag_exits_1(capsys, train_calls, command, flag, value):
+    code, _, err = run_cli(capsys, command, "--labels", "a,b", *CSV_FLAGS, flag, value)
+    assert code == 1
+    assert flag in err
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma_mode", "per-batch-literal"), ("gamma_mode", "per-sample"),
+    ("backend", "bag-of-embeddings"), ("backend", "mini-transformer"),
+])
+def test_config_file_removed_model_key_exits_1(tmp_path, capsys, train_calls, key, value):
+    path = write_config(tmp_path, {**CSVS, "labels": "a,b", key: value})
+    code, _, err = run_cli(capsys, "train", "--config", path)
+    assert code == 1
+    assert f"{path}: unknown config keys: {key}" in err
+    assert train_calls == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes and help
 
@@ -482,8 +517,9 @@ def test_help_lists_flags_with_defaults(capsys):
     stdout = capsys.readouterr().out
     for flag in ("--train-csv", "--test-csv", "--labels", "--epochs", "--lr",
                  "--batch-size", "--lambda", "--dropout", "--seed", "--ablation",
-                 "--train-limit", "--test-limit", "--out", "--gamma-mode"):
+                 "--train-limit", "--test-limit", "--out"):
         assert flag in stdout
+    assert "--gamma-mode" not in stdout and "--backend" not in stdout
     assert "5e-05" in stdout  # learning rate default
     assert "32" in stdout  # batch size default
     assert "0.01" in stdout  # lambda default

@@ -164,7 +164,6 @@ def test_encode_label_sequence_spans():
     w, s, comma = (vocab.encode_token(t) for t in ("world", "sports", ","))
     assert ids == [CLS, w, comma, s, SEP]
     assert spans == [(1, 2), (3, 4)]
-    assert labels.token_spans == spans
 
 
 def test_encode_label_sequence_multiword():

@@ -14,10 +14,9 @@ from idea.encoder import (
 )
 
 
-def tiny_setup(seed=0, dtype=np.float64, backend="mini-transformer", vocab_size=12):
+def tiny_setup(seed=0, dtype=np.float64, vocab_size=12):
     cfg = EncoderConfig(
-        vocab_size=vocab_size, d=8, n_layers=2, n_heads=2, max_positions=16,
-        backend=backend, dropout=0.1,
+        vocab_size=vocab_size, d=8, n_layers=2, n_heads=2, max_positions=16, dropout=0.1,
     )
     params = init_encoder_params(cfg, np.random.default_rng(seed), dtype)
     return cfg, params
@@ -46,8 +45,9 @@ def test_encode_output_shapes(rng):
 def test_encode_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(vocab_size=10, d=10, n_heads=4)
-    with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, backend="rnn")
+    for backend in ("rnn", "bag-of-embeddings"):
+        with pytest.raises(ValueError):
+            EncoderConfig(vocab_size=10, backend=backend)
 
 
 def test_encode_too_long_sequence(rng):
@@ -101,14 +101,6 @@ def test_encode_training_dropout_is_seeded(rng):
     c = encode(ids, mask, cfg, params, training=True, rng=np.random.default_rng(6))
     np.testing.assert_array_equal(a.tokens.data, b.tokens.data)
     assert not np.array_equal(a.tokens.data, c.tokens.data)
-
-
-def test_bag_of_embeddings_backend(rng):
-    cfg, params = tiny_setup(backend="bag-of-embeddings")
-    ids, mask = random_batch(rng)
-    out = encode(ids, mask, cfg, params)
-    assert out.tokens.shape == (3, 8, 8)
-    assert np.all(np.abs(out.pooled.data) < 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -204,24 +204,9 @@ def test_weighted_features_gamma_permutation_invariant(rng):
     np.testing.assert_allclose(g1.data, g2.data, atol=1e-12)
 
 
-def test_weighted_features_per_batch_literal(rng):
-    p = Tensor(rng.normal(size=(4, 3)))
-    d_feat = Tensor(np.abs(rng.normal(size=(4, 3))))
-    p_w, d_w, gamma = weighted_features(p, d_feat, gamma_mode="per-batch-literal")
-    pr, dr, gr = ref.weighted_features_batch_ref(p.data.tolist(), d_feat.data.tolist())
-    assert np.unique(gamma.data).size == 1  # one shared weight for the whole batch
-    np.testing.assert_allclose(gamma.data, gr, atol=1e-10)
-    np.testing.assert_allclose(p_w.data, pr, atol=1e-10)
-    np.testing.assert_allclose(d_w.data, dr, atol=1e-10)
-
-
-def test_weighted_features_per_batch_depends_on_neighbours(rng):
+def test_weighted_features_gamma_batch_size_invariant(rng):
     p = rng.normal(size=(4, 3))
     d_feat = np.abs(rng.normal(size=(4, 3)))
-    _, _, g_full = weighted_features(Tensor(p), Tensor(d_feat), gamma_mode="per-batch-literal")
-    _, _, g_solo = weighted_features(Tensor(p[:1]), Tensor(d_feat[:1]), gamma_mode="per-batch-literal")
-    assert abs(float(g_full.data[0]) - float(g_solo.data[0])) > 1e-9
-    # while per-sample gamma is batch-size invariant
     _, _, gs_full = weighted_features(Tensor(p), Tensor(d_feat))
     _, _, gs_solo = weighted_features(Tensor(p[:1]), Tensor(d_feat[:1]))
     np.testing.assert_allclose(gs_full.data[0], gs_solo.data[0], atol=1e-15)
@@ -229,8 +214,9 @@ def test_weighted_features_per_batch_depends_on_neighbours(rng):
 
 def test_weighted_features_rejects_unknown_mode(rng):
     p = Tensor(rng.normal(size=(2, 2)))
-    with pytest.raises(ValueError):
-        weighted_features(p, p, gamma_mode="per-epoch")
+    for mode in ("per-epoch", "per-batch-literal"):
+        with pytest.raises(ValueError):
+            weighted_features(p, p, gamma_mode=mode)
 
 
 # ---------------------------------------------------------------------------

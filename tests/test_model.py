@@ -1,21 +1,24 @@
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idea import autodiff as ad
 from idea.autodiff import Tensor, backward
 from idea.data import Document, LabelSet, Vocab, build_vocab, make_batches
 from idea.encoder import EncoderConfig, encode, pool_label_vectors
-from idea.head import AblationConfig
+from idea.head import ABLATION_MODES, AblationConfig
 from idea.model import IdeaModel
 
 
 WORDS = ["ball", "game", "stock", "market", "atom", "quark", "blue", "fast", "slow"]
 
 
-def build_model(seed=0, dtype=np.float64, d=8, ablation="full", gamma_mode="per-sample",
-                n_layers=2, classifier_init="normal", dropout=0.1):
+def build_model(seed=0, dtype=np.float64, d=8, ablation="full", n_layers=2,
+                classifier_init="normal", dropout=0.1):
     labels = LabelSet(["sport", "finance", "science"])
     docs = [Document(" ".join(WORDS), 0)]
     vocab = build_vocab(docs, labels=labels)
@@ -23,7 +26,7 @@ def build_model(seed=0, dtype=np.float64, d=8, ablation="full", gamma_mode="per-
                         max_positions=32, dropout=dropout)
     model = IdeaModel.build(
         cfg, labels, vocab,
-        ablation=AblationConfig(ablation), gamma_mode=gamma_mode, dtype=dtype,
+        ablation=AblationConfig(ablation), dtype=dtype,
         rng=np.random.default_rng(seed), classifier_init=classifier_init,
     )
     return model, vocab
@@ -116,14 +119,28 @@ def test_single_sample_equals_in_batch(rng):
         np.testing.assert_allclose(feats_s.z.data[0], feats_b.z.data[i], atol=1e-9)
 
 
-def test_per_batch_literal_gamma_couples_samples(rng):
-    model, vocab = build_model(gamma_mode="per-batch-literal")
-    docs = sample_docs(rng, 6, max_tokens=7)
-    batch = make_batches(docs, vocab, batch_size=6)[0]
-    _, feats_b = model.forward(batch.token_ids, batch.pad_mask)
-    (solo,) = make_batches([docs[0]], vocab, batch_size=1)
-    _, feats_s = model.forward(solo.token_ids, solo.pad_mask)
-    assert abs(float(feats_s.gamma.data[0]) - float(feats_b.gamma.data[0])) > 1e-12
+MODELS = {mode: build_model(ablation=mode) for mode in ABLATION_MODES}
+
+
+@settings(max_examples=40)
+@given(
+    mode=st.sampled_from(ABLATION_MODES),
+    docs=st.lists(st.lists(st.sampled_from(WORDS), max_size=6), min_size=1, max_size=6),
+    extra_pad=st.integers(1, 3),
+)
+def test_each_document_scores_alone_as_in_any_batch(mode, docs, extra_pad):
+    model, vocab = MODELS[mode]
+    docs = [Document(" ".join(words), 0) for words in docs]
+    (batch,) = make_batches(docs, vocab, batch_size=len(docs))
+    ids = np.pad(batch.token_ids, ((0, 0), (0, extra_pad)))  # PAD is id 0
+    logits_b, feats_b = model.forward(batch.token_ids, batch.pad_mask)
+    logits_p, feats_p = model.forward(ids, ids != 0)
+    for i, doc in enumerate(docs):
+        (solo,) = make_batches([doc], vocab, batch_size=1)
+        logits_s, feats_s = model.forward(solo.token_ids, solo.pad_mask)
+        for logits, feats in ((logits_b, feats_b), (logits_p, feats_p)):
+            np.testing.assert_allclose(logits.data[i], logits_s.data[0], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(feats.z.data[i], feats_s.z.data[0], rtol=0, atol=1e-9)
 
 
 def test_ablation_changes_classifier_width(rng):
@@ -194,6 +211,33 @@ def test_checkpoint_rejects_truncated_or_padded(tmp_path, damage):
     damaged = {"cut": data[:-1], "pad": data + b"\x00", "cut-header": data[:40]}[damage]
     path.write_bytes(damaged)
     with pytest.raises(ValueError, match="truncated|trailing") as err:
+        IdeaModel.load(path)
+    assert str(path) in str(err.value)
+
+
+def rewrite_header(path, edit) -> None:
+    """Replace a saved checkpoint's JSON header by edit(header), a dict or raw bytes."""
+    data = path.read_bytes()
+    size = int.from_bytes(data[8:16], "little")
+    header = edit(json.loads(data[16:16 + size]))
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + size:])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: b'{"encoder": ', "bad checkpoint header: Expecting value"),
+    (lambda h: b'"\xff"', "bad checkpoint header: 'utf-8' codec"),
+    (lambda h: {k: v for k, v in h.items() if k != "label_spans"}, "lacks key 'label_spans'"),
+    (lambda h: {**h, "gamma_mode": "per-batch-literal"}, "unknown gamma mode 'per-batch-literal'"),
+    (lambda h: {**h, "encoder": {**h["encoder"], "backend": "bag-of-embeddings"}},
+     "unknown encoder backend 'bag-of-embeddings'"),
+], ids=["not-json", "not-utf8", "missing-key", "gamma-mode", "backend"])
+def test_checkpoint_rejects_bad_header(tmp_path, edit, match):
+    model, _ = build_model(dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=match) as err:
         IdeaModel.load(path)
     assert str(path) in str(err.value)
 
