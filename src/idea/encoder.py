@@ -46,41 +46,42 @@ class EncoderOutput:
     pooled: Tensor  # K x d, from the leading CLS position
 
 
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, INIT_STD, size=shape).astype(dtype), requires_grad=True)
+# a parameter's name, shape and initializer: "normal" draws N(0, INIT_STD)
+# from the rng, "zeros" and "ones" draw nothing
+ParamSpec = tuple[str, tuple[int, ...], str]
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
+def param_specs(config: EncoderConfig) -> list[ParamSpec]:
+    """The encoder's parameters in checkpoint order."""
     d, f = config.d, config.ffn_dim
-    params: dict[str, Tensor] = {
-        "token_emb": normal(config.vocab_size, d),
-        "pos_emb": normal(config.max_positions, d),
-        "emb_ln.g": ones(d),
-        "emb_ln.b": zeros(d),
-    }
+    specs = [("token_emb", (config.vocab_size, d), "normal"), ("pos_emb", (config.max_positions, d), "normal"),
+             ("emb_ln.g", (d,), "ones"), ("emb_ln.b", (d,), "zeros")]
     for i in range(config.n_layers):
         p = f"layer{i}."
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + "attn." + name] = normal(d, d)
+        specs += [(p + "attn." + name, (d, d), "normal") for name in ("Wq", "Wk", "Wv", "Wo")]
         # no key bias: softmax scores are invariant to a constant shift
         # per query, so a key bias would be permanently dead weight
-        for name in ("bq", "bv", "bo"):
-            params[p + "attn." + name] = zeros(d)
-        params[p + "ln1.g"] = ones(d)
-        params[p + "ln1.b"] = zeros(d)
-        params[p + "ffn.W1"] = normal(d, f)
-        params[p + "ffn.b1"] = zeros(f)
-        params[p + "ffn.W2"] = normal(f, d)
-        params[p + "ffn.b2"] = zeros(d)
-        params[p + "ln2.g"] = ones(d)
-        params[p + "ln2.b"] = zeros(d)
-    params["pooler.W"] = normal(d, d)
-    params["pooler.b"] = zeros(d)
+        specs += [(p + "attn." + name, (d,), "zeros") for name in ("bq", "bv", "bo")]
+        specs += [(p + "ln1.g", (d,), "ones"), (p + "ln1.b", (d,), "zeros"),
+                  (p + "ffn.W1", (d, f), "normal"), (p + "ffn.b1", (f,), "zeros"),
+                  (p + "ffn.W2", (f, d), "normal"), (p + "ffn.b2", (d,), "zeros"),
+                  (p + "ln2.g", (d,), "ones"), (p + "ln2.b", (d,), "zeros")]
+    return specs + [("pooler.W", (d, d), "normal"), ("pooler.b", (d,), "zeros")]
+
+
+def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    """Trainable tensors for the specs, drawn from rng in spec order."""
+    params: dict[str, Tensor] = {}
+    for name, shape, init in specs:
+        if init == "normal":
+            data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=dtype)
+        elif init == "ones":
+            data = np.ones(shape, dtype=dtype)
+        else:
+            raise ValueError(f"unknown initializer {init!r} for parameter {name}")
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

@@ -74,33 +74,21 @@ class IdeaFeatures:
     z: Tensor  # K x width fused classifier input
 
 
-def init_head_params(d: int, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    std = 0.02
-    return {
-        "attn.W_m": Tensor(rng.normal(0.0, std, size=(d, d)).astype(dtype), requires_grad=True),
-        "attn.b_m": Tensor(np.zeros((), dtype=dtype), requires_grad=True),
-        "attn.W_t": Tensor(rng.normal(0.0, std, size=(d, d)).astype(dtype), requires_grad=True),
-        "attn.b_t": Tensor(np.zeros((), dtype=dtype), requires_grad=True),
-    }
+def param_specs(d: int, z_width: int, n_classes: int, classifier_init: str = "zeros") -> list[tuple]:
+    """The two bilinear attentions' and the classifier's (name, shape, initializer) specs.
 
-
-def init_classifier_params(
-    z_width: int,
-    n_classes: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    init: str = "zeros",
-) -> dict[str, Tensor]:
-    if init == "zeros":
-        w = np.zeros((z_width, n_classes), dtype=dtype)
-    elif init == "normal":
-        w = rng.normal(0.0, 0.02, size=(z_width, n_classes)).astype(dtype)
-    else:
-        raise ValueError(f"unknown classifier init {init!r}")
-    return {
-        "clf.W": Tensor(w, requires_grad=True),
-        "clf.b": Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True),
-    }
+    classifier_init ("zeros" or "normal") picks clf.W's initializer.
+    """
+    if classifier_init not in ("zeros", "normal"):
+        raise ValueError(f"unknown classifier init {classifier_init!r}")
+    return [
+        ("attn.W_m", (d, d), "normal"),
+        ("attn.b_m", (), "zeros"),
+        ("attn.W_t", (d, d), "normal"),
+        ("attn.b_t", (), "zeros"),
+        ("clf.W", (z_width, n_classes), classifier_init),
+        ("clf.b", (n_classes,), "zeros"),
+    ]
 
 
 def _attend(

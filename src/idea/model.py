@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import zip_longest
 
 import numpy as np
 
@@ -12,9 +13,11 @@ from .autodiff import Tensor
 from .data import SEP, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence
 from .encoder import (
     EncoderConfig,
+    ParamSpec,
     encode,
     encode_labels_once,
-    init_encoder_params,
+    init_params,
+    param_specs,
     pool_label_vectors,
 )
 from .head import AblationConfig, AttentionParams, IdeaFeatures, idea_loss
@@ -52,21 +55,23 @@ class IdeaModel:
         self.gamma_mode = gamma_mode
         self.dtype = np.dtype(dtype)
         self.n_classes = len(label_names)
-        if params is not None:
-            self.params = params
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            self.params = init_encoder_params(encoder_config, rng, dtype)
-            self.params.update(hd.init_head_params(encoder_config.d, rng, dtype))
-            self.params.update(
-                hd.init_classifier_params(
-                    ablation.z_width(encoder_config.d),
-                    self.n_classes,
-                    rng,
-                    dtype,
-                    init=classifier_init,
-                )
-            )
+        if ((self.label_ids < 0) | (self.label_ids >= encoder_config.vocab_size)).any():
+            raise ValueError(f"label ids outside [0, {encoder_config.vocab_size})")
+        if len(self.label_spans) != self.n_classes:
+            raise ValueError(f"{len(self.label_spans)} label spans for {self.n_classes} label names")
+        for span in self.label_spans:  # the rule pool_label_vectors applies
+            if len(span) != 2 or not 0 <= span[0] < span[1] <= len(self.label_ids):
+                raise ValueError(f"label span {span} is empty or outside the {len(self.label_ids)} label ids")
+        if params is None:
+            params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
+        self.params = params
+
+    def param_specs(self, classifier_init: str = "zeros") -> list[ParamSpec]:
+        """Every parameter's (name, shape, initializer), in checkpoint order."""
+        d = self.encoder_config.d
+        return param_specs(self.encoder_config) + hd.param_specs(
+            d, self.ablation.z_width(d), self.n_classes, classifier_init
+        )
 
     @classmethod
     def build(cls, encoder_config, labels: LabelSet, vocab: Vocab, **kwargs) -> "IdeaModel":
@@ -74,12 +79,7 @@ class IdeaModel:
         return cls(encoder_config, labels.names, label_ids, spans, **kwargs)
 
     def attention_params(self) -> AttentionParams:
-        return AttentionParams(
-            W_m=self.params["attn.W_m"],
-            b_m=self.params["attn.b_m"],
-            W_t=self.params["attn.W_t"],
-            b_t=self.params["attn.b_t"],
-        )
+        return AttentionParams(*(self.params["attn." + name] for name in ("W_m", "b_m", "W_t", "b_t")))
 
     def reg_params(self) -> list[Tensor]:
         # weight matrices only: the two attention bilinear forms and the classifier
@@ -179,13 +179,14 @@ class IdeaModel:
                     dtype=dtype,
                     params=params,
                 )
-                entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+                specs = model.param_specs()
+                _check_param_list(header["params"], specs)
             except KeyError as exc:
                 raise ValueError(f"{path}: checkpoint header lacks key {exc}") from None
             except (TypeError, ValueError) as exc:  # also bad UTF-8 or JSON, a rejected value
                 raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
-            for name, shape in entries:
-                n = int(np.prod(shape)) if shape else 1
+            for name, shape, _ in specs:
+                n = int(np.prod(shape))
                 buf = fh.read(4 * n)
                 if len(buf) < 4 * n:
                     raise ValueError(
@@ -204,3 +205,12 @@ class IdeaModel:
     def load_param_data(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in snapshot.items():
             self.params[name].data[...] = arr
+
+
+def _check_param_list(listed, specs: list[ParamSpec]) -> None:
+    """Raise ValueError at the first entry of a header's params list that differs from specs."""
+    want = [{"name": name, "shape": list(shape)} for name, shape, _ in specs]
+    for i, (got, expected) in enumerate(zip_longest(listed, want)):
+        if got != expected:
+            raise ValueError(f"params entry {i} is {'missing' if got is None else repr(got)}; "
+                             f"the model the header describes has {expected or 'no such entry'}")

@@ -21,7 +21,7 @@ from .data import (
     stratified_sample,
     stratified_split,
 )
-from .encoder import BACKEND, EncoderConfig
+from .encoder import EncoderConfig
 from .head import GAMMA_MODE, AblationConfig
 from .model import IdeaModel
 
@@ -37,7 +37,7 @@ class TrainConfig:
     label_names: list[str] = field(default_factory=list)
     learning_rate: float = 5e-5
     batch_size: int = 32
-    dropout: float = 0.1
+    dropout: float = EncoderConfig.dropout
     lambda_l2: float = 0.01
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -51,12 +51,12 @@ class TrainConfig:
     grad_clip: float = 1.0
     train_limit: int | None = None
     test_limit: int | None = None
-    # encoder size knobs (desk-scale defaults)
-    d: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    backend: str = BACKEND  # the only value EncoderConfig accepts
-    max_positions: int = 512
+    # encoder size knobs, defaulting to EncoderConfig's desk-scale values
+    d: int = EncoderConfig.d
+    n_layers: int = EncoderConfig.n_layers
+    n_heads: int = EncoderConfig.n_heads
+    backend: str = EncoderConfig.backend  # the only value EncoderConfig accepts
+    max_positions: int = EncoderConfig.max_positions
     min_freq: int = 1
     vocab_max_size: int | None = None
     out_dir: str | None = None

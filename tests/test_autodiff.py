@@ -589,6 +589,98 @@ def test_self_attention_gradcheck(training, case):
     assert report.max_relative_error < 1e-6
 
 
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3)
+
+
+def _broadcastable(draw, shape):
+    """A shape numpy broadcasts to shape: some leading axes dropped, some others 1."""
+    kept = shape[len(shape) - draw(st.integers(0, len(shape))):]
+    return tuple(draw(st.sampled_from([1, n])) for n in kept)
+
+
+def _either_broadcasts(draw, op):
+    shape = draw(SHAPES)
+    small = _broadcastable(draw, shape)
+    return op, [small, shape] if draw(st.booleans()) else [shape, small]
+
+
+def _matmul_case(draw):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    lead_a, lead_b = lead, _broadcastable(draw, lead)
+    if draw(st.booleans()):
+        lead_a, lead_b = lead_b, lead_a
+    return ad.matmul, [(*lead_a, n, k), (*lead_b, k, m)]
+
+
+def _reduce_case(draw):
+    shape = draw(SHAPES)
+    axis = draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
+    kind, keepdims = draw(st.sampled_from(["sum", "mean"])), draw(st.booleans())
+    return lambda x: ad.reduce(x, axis, kind, keepdims), [shape]
+
+
+def _concat_case(draw):
+    shape = draw(SHAPES)
+    axis = draw(st.integers(0, len(shape) - 1))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    shapes = [(*shape[:axis], n, *shape[axis + 1:]) for n in sizes]
+    return lambda *parts: ad.concat(list(parts), axis), shapes
+
+
+def _slice_case(draw):
+    shape = draw(SHAPES)
+    axis = draw(st.integers(0, len(shape) - 1))
+    start = draw(st.integers(0, shape[axis] - 1))
+    stop = draw(st.integers(start + 1, shape[axis]))
+    return lambda x: ad.slice_axis(x, axis, start, stop), [shape]
+
+
+def _broadcast_to_case(draw):
+    shape = draw(SHAPES)
+    return lambda x: ad.broadcast_to(x, shape), [_broadcastable(draw, shape)]
+
+
+def _softmax_case(draw):
+    shape = draw(SHAPES)
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    keep = np.moveaxis(draw(hnp.arrays(bool, shape)), axis, -1)
+    keep[..., draw(st.integers(0, keep.shape[-1] - 1))] = True  # at least one kept per slice
+    bias = np.moveaxis(ad.mask_bias(keep, np.float64), -1, axis)
+    return lambda x: ad.softmax(x, axis, bias), [shape]
+
+
+def _layernorm_case(draw):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    dim = draw(st.integers(3, 5))  # at width 2 the normalized values are +-1 whatever x is
+    return (lambda x, g, b: ad.layernorm(x, g, b)), [(*lead, dim), (dim,), (dim,)]
+
+
+OP_CASES = {
+    "add": lambda draw: _either_broadcasts(draw, ad.add),
+    "mul": lambda draw: _either_broadcasts(draw, ad.mul),
+    "matmul": _matmul_case,
+    "reduce": _reduce_case,
+    "concat": _concat_case,
+    "slice_axis": _slice_case,
+    "broadcast_to": _broadcast_to_case,
+    "softmax": _softmax_case,
+    "layernorm": _layernorm_case,
+}
+
+
+@pytest.mark.parametrize("op", OP_CASES)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_op_gradcheck_over_random_shapes(op, data):
+    fn, shapes = OP_CASES[op](data.draw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    leaves = {f"x{i}": leaf(rng, *shape) for i, shape in enumerate(shapes)}
+    tgt = Tensor(rng.normal(size=fn(*leaves.values()).shape))
+    report = grad_check(lambda: ad.reduce(ad.mul(fn(*leaves.values()), tgt)), leaves, step=1e-6)
+    assert report.max_relative_error < 1e-6
+
+
 @pytest.mark.parametrize("rate, rng", [(1.0, np.random.default_rng(0)), (0.1, None)])
 def test_self_attention_keeps_dropout_checks(rate, rng):
     x = Tensor(np.ones((1, 2, 2)))
@@ -633,7 +725,7 @@ def _twenty_node_attention(x, key_bias, params, prefix, config, training, rng):
 def test_encode_matches_twenty_node_attention_bitwise(monkeypatch, training, k_batch, seq, d, heads):
     rng = np.random.default_rng(seq)
     config = encoder.EncoderConfig(vocab_size=40, d=d, n_layers=2, n_heads=heads, max_positions=64)
-    params = encoder.init_encoder_params(config, rng, np.float32)
+    params = encoder.init_params(encoder.param_specs(config), rng, np.float32)
     for p in params.values():
         p.data[...] = rng.normal(0.0, 0.3, size=p.shape)
     ids = rng.integers(0, 40, size=(k_batch, seq))

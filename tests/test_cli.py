@@ -260,29 +260,57 @@ def test_failed_synthetic_write_keeps_previous_file(tmp_path, capsys, full_disk)
     check()
 
 
-def without_label_spans(data: bytes) -> bytes:
-    """The checkpoint bytes with "label_spans" dropped from the JSON header."""
+def with_header(data: bytes, edit) -> bytes:
+    """The checkpoint bytes with the JSON header replaced by edit(header)."""
     size = int.from_bytes(data[8:16], "little")
-    header = json.loads(data[16:16 + size])
-    del header["label_spans"]
-    blob = json.dumps(header).encode("utf-8")
+    blob = json.dumps(edit(json.loads(data[16:16 + size]))).encode("utf-8")
     return data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + size:]
 
 
-@pytest.mark.parametrize("damage", ["cut", "pad", "no-label-spans"])
+def with_params(header: dict, params: list) -> dict:
+    return {**header, "params": params}
+
+
+HEADER_DAMAGE = {
+    "no-label-spans": lambda h: {k: v for k, v in h.items() if k != "label_spans"},
+    "renamed": lambda h: with_params(h, h["params"][:-1] + [{**h["params"][-1], "name": "clf.bias"}]),
+    "swapped": lambda h: with_params(h, [h["params"][1], h["params"][0]] + h["params"][2:]),
+    "string-shape": lambda h: with_params(h, [{**h["params"][0], "shape": ["64", 5]}] + h["params"][1:]),
+    "missing-param": lambda h: with_params(h, h["params"][:-1]),
+    "extra-param": lambda h: with_params(h, h["params"] + [h["params"][-1]]),
+    "label-id": lambda h: {**h, "label_ids": h["label_ids"][:-1] + [10**6]},
+    "span-count": lambda h: {**h, "label_spans": h["label_spans"][:-1]},
+    "span-order": lambda h: {**h, "label_spans": [s[::-1] for s in h["label_spans"]]},
+}
+
+
+@pytest.mark.parametrize("damage", ["cut", "pad", "no-label-spans", "renamed", "swapped"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)
     ckpt = os.path.join(model_dir, "model.ckpt")
     with open(ckpt, "rb") as fh:
         data = fh.read()
     with open(ckpt, "wb") as fh:
-        if damage == "no-label-spans":
-            fh.write(without_label_spans(data))
+        if damage in HEADER_DAMAGE:
+            fh.write(with_header(data, HEADER_DAMAGE[damage]))
         else:
             fh.write(data[:-1] if damage == "cut" else data + b"\x00")
     code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", cli_corpus["test"])
     assert code == 1
     assert ckpt in err
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_eval_bad_header_exits_1_before_reading_the_csv(trained_dir, tmp_path, capsys, damage):
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    ckpt = os.path.join(model_dir, "model.ckpt")
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(with_header(data, HEADER_DAMAGE[damage]))
+    code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
+    assert code == 1
+    assert f"idea: error: {ckpt}: " in err and "/no/such.csv" not in err
 
 
 def test_eval_max_len_beyond_checkpoint_exits_1(trained_dir, capsys):

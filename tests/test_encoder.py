@@ -8,7 +8,8 @@ from idea.encoder import (
     EncoderConfig,
     encode,
     encode_labels_once,
-    init_encoder_params,
+    init_params,
+    param_specs,
     pool_label_vectors,
     pooler,
 )
@@ -18,7 +19,7 @@ def tiny_setup(seed=0, dtype=np.float64, vocab_size=12):
     cfg = EncoderConfig(
         vocab_size=vocab_size, d=8, n_layers=2, n_heads=2, max_positions=16, dropout=0.1,
     )
-    params = init_encoder_params(cfg, np.random.default_rng(seed), dtype)
+    params = init_params(param_specs(cfg), np.random.default_rng(seed), dtype)
     return cfg, params
 
 

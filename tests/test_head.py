@@ -4,6 +4,7 @@ import pytest
 import loop_reference as ref
 from idea import autodiff as ad
 from idea.autodiff import DegenerateSliceError, ShapeError, Tensor, backward
+from idea.encoder import init_params
 from idea.head import (
     ABLATION_MODES,
     AblationConfig,
@@ -11,12 +12,18 @@ from idea.head import (
     assemble_z,
     classify,
     idea_loss,
-    init_classifier_params,
     label_attention,
+    param_specs,
     similarity_features,
     text_attention,
     weighted_features,
 )
+
+
+def classifier_params(z_width, n_classes, rng, init="zeros"):
+    """clf.W and clf.b from the head's parameter table, drawn from rng."""
+    specs = [spec for spec in param_specs(1, z_width, n_classes, init) if spec[0].startswith("clf.")]
+    return init_params(specs, rng, np.float64)
 
 
 def make_params(rng, d, zero=False):
@@ -271,14 +278,14 @@ def test_ablation_config_rejects_unknown_mode():
 
 def test_classify_zero_params_uniform(rng):
     z = Tensor(rng.normal(size=(3, 8)))
-    params = init_classifier_params(8, 4, rng, np.float64, init="zeros")
+    params = classifier_params(8, 4, rng, init="zeros")
     probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
     np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
 
 
 def test_predict_rows_sum_to_one(rng):
     z = Tensor(rng.normal(size=(6, 8)))
-    params = init_classifier_params(8, 5, rng, np.float64, init="normal")
+    params = classifier_params(8, 5, rng, init="normal")
     probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
     np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
@@ -292,7 +299,7 @@ def test_predict_shift_invariant(rng):
 
 def test_classify_width_mismatch(rng):
     z = Tensor(rng.normal(size=(3, 8)))
-    params = init_classifier_params(16, 4, rng, np.float64)
+    params = classifier_params(16, 4, rng)
     with pytest.raises(ShapeError) as err:
         classify(z, params["clf.W"], params["clf.b"])
     assert "ablation" in str(err.value)
@@ -329,7 +336,7 @@ def test_head_gradcheck_end_to_end(rng):
     labels = Tensor(rng.normal(size=(k, n_lab, d)), requires_grad=True)
     t_global = Tensor(rng.normal(size=(k, d)), requires_grad=True)
     params = make_params(rng, d)
-    clf = init_classifier_params(4 * d, n_lab, rng, np.float64, init="normal")
+    clf = classifier_params(4 * d, n_lab, rng, init="normal")
     mask = np.ones((k, n), bool)
     mask[1, 3] = False
     gold = np.array([0, 2])

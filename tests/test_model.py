@@ -224,6 +224,10 @@ def rewrite_header(path, edit) -> None:
     path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + size:])
 
 
+def with_params(header: dict, params: list) -> dict:
+    return {**header, "params": params}
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda h: b'{"encoder": ', "bad checkpoint header: Expecting value"),
     (lambda h: b'"\xff"', "bad checkpoint header: 'utf-8' codec"),
@@ -231,7 +235,20 @@ def rewrite_header(path, edit) -> None:
     (lambda h: {**h, "gamma_mode": "per-batch-literal"}, "unknown gamma mode 'per-batch-literal'"),
     (lambda h: {**h, "encoder": {**h["encoder"], "backend": "bag-of-embeddings"}},
      "unknown encoder backend 'bag-of-embeddings'"),
-], ids=["not-json", "not-utf8", "missing-key", "gamma-mode", "backend"])
+    (lambda h: with_params(h, h["params"][:-1] + [{"name": "clf.bias", "shape": [3]}]),
+     "params entry 41 is {'name': 'clf.bias', 'shape': \\[3\\]}; .* has {'name': 'clf.b'"),
+    (lambda h: with_params(h, [{"name": "token_emb", "shape": ["17", 8]}] + h["params"][1:]),
+     "params entry 0 is {'name': 'token_emb', 'shape': \\['17', 8\\]}"),
+    (lambda h: with_params(h, [h["params"][1], h["params"][0]] + h["params"][2:]),
+     "params entry 0 is {'name': 'pos_emb'"),
+    (lambda h: with_params(h, h["params"][:-1]), "params entry 41 is missing"),
+    (lambda h: with_params(h, h["params"] + [{"name": "clf.c", "shape": [3]}]),
+     "params entry 42 is {'name': 'clf.c', 'shape': \\[3\\]}; .* has no such entry"),
+    (lambda h: {**h, "label_ids": [2, 17, 3]}, "label ids outside \\[0, 17\\)"),
+    (lambda h: {**h, "label_spans": h["label_spans"][:2]}, "2 label spans for 3 label names"),
+    (lambda h: {**h, "label_spans": [[1, 2], [3, 4], [6, 5]]}, "label span \\(6, 5\\) is empty"),
+], ids=["not-json", "not-utf8", "missing-key", "gamma-mode", "backend", "renamed", "string-shape",
+        "swapped", "missing-param", "extra-param", "label-id", "span-count", "span-order"])
 def test_checkpoint_rejects_bad_header(tmp_path, edit, match):
     model, _ = build_model(dtype=np.float32)
     path = tmp_path / "model.ckpt"
@@ -252,3 +269,81 @@ def test_checkpoint_save_failure_keeps_previous_file(tmp_path):
         model.save(path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def _old_init(encoder_config, n_classes, z_width, rng, dtype, classifier_init):
+    """The three init functions that the parameter table replaced, as they were."""
+    def normal(*shape, std=0.02):
+        return rng.normal(0.0, std, size=shape).astype(dtype)
+
+    d, f = encoder_config.d, encoder_config.ffn_dim
+    params = {
+        "token_emb": normal(encoder_config.vocab_size, d),
+        "pos_emb": normal(encoder_config.max_positions, d),
+        "emb_ln.g": np.ones(d, dtype=dtype),
+        "emb_ln.b": np.zeros(d, dtype=dtype),
+    }
+    for i in range(encoder_config.n_layers):
+        p = f"layer{i}."
+        for name in ("Wq", "Wk", "Wv", "Wo"):
+            params[p + "attn." + name] = normal(d, d)
+        for name in ("bq", "bv", "bo"):
+            params[p + "attn." + name] = np.zeros(d, dtype=dtype)
+        params[p + "ln1.g"] = np.ones(d, dtype=dtype)
+        params[p + "ln1.b"] = np.zeros(d, dtype=dtype)
+        params[p + "ffn.W1"] = normal(d, f)
+        params[p + "ffn.b1"] = np.zeros(f, dtype=dtype)
+        params[p + "ffn.W2"] = normal(f, d)
+        params[p + "ffn.b2"] = np.zeros(d, dtype=dtype)
+        params[p + "ln2.g"] = np.ones(d, dtype=dtype)
+        params[p + "ln2.b"] = np.zeros(d, dtype=dtype)
+    params["pooler.W"] = normal(d, d)
+    params["pooler.b"] = np.zeros(d, dtype=dtype)
+    # head
+    params["attn.W_m"] = rng.normal(0.0, 0.02, size=(d, d)).astype(dtype)
+    params["attn.b_m"] = np.zeros((), dtype=dtype)
+    params["attn.W_t"] = rng.normal(0.0, 0.02, size=(d, d)).astype(dtype)
+    params["attn.b_t"] = np.zeros((), dtype=dtype)
+    # classifier
+    if classifier_init == "zeros":
+        params["clf.W"] = np.zeros((z_width, n_classes), dtype=dtype)
+    else:
+        params["clf.W"] = rng.normal(0.0, 0.02, size=(z_width, n_classes)).astype(dtype)
+    params["clf.b"] = np.zeros(n_classes, dtype=dtype)
+    return params
+
+
+@pytest.mark.parametrize("ablation", ["full", "only_fusing"])
+@pytest.mark.parametrize("classifier_init", ["zeros", "normal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parameter_table_reproduces_the_old_init(dtype, classifier_init, ablation):
+    model, _ = build_model(seed=3, dtype=dtype, d=8, ablation=ablation, classifier_init=classifier_init)
+    cfg = model.encoder_config
+    old = _old_init(cfg, model.n_classes, AblationConfig(ablation).z_width(cfg.d),
+                    np.random.default_rng(3), dtype, classifier_init)
+    assert list(model.params) == list(old)
+    for name, want in old.items():
+        got = model.params[name].data
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert model.params[name].requires_grad
+    assert [(name, shape) for name, shape, _ in model.param_specs()] == [
+        (name, arr.shape) for name, arr in old.items()]
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("label_ids", [2, 17, 3], "label ids outside \\[0, 17\\)"),
+    ("label_ids", [-1, 4, 3], "label ids outside \\[0, 17\\)"),
+    ("label_spans", [(1, 2), (3, 4)], "2 label spans for 3 label names"),
+    ("label_spans", [(1, 2), (3, 4), (5, 6), (5, 6)], "4 label spans for 3 label names"),
+    ("label_spans", [(1, 2), (3, 3), (5, 6)], "label span \\(3, 3\\) is empty"),
+    ("label_spans", [(1, 2), (3, 4), (5, 8)], "label span \\(5, 8\\) is empty or outside the 7"),
+    ("label_spans", [(-1, 2), (3, 4), (5, 6)], "label span \\(-1, 2\\)"),
+    ("label_spans", [(1, 2, 3), (3, 4), (5, 6)], "label span \\(1, 2, 3\\)"),
+], ids=["id-too-big", "id-negative", "too-few-spans", "too-many-spans", "empty-span",
+        "span-past-end", "negative-start", "three-ends"])
+def test_model_rejects_bad_label_fields(field, value, match):
+    model, _ = build_model()
+    fields = {"label_ids": model.label_ids, "label_spans": model.label_spans, field: value}
+    with pytest.raises(ValueError, match=match):
+        IdeaModel(model.encoder_config, model.label_names, fields["label_ids"], fields["label_spans"])
