@@ -41,8 +41,8 @@ class Tensor:
 
     __slots__ = ("data", "_grad", "requires_grad", "lineage")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import synthetic
 from .autodiff import grad_check
-from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
+from .data import (Document, LabelSet, Vocab, atomic_open, encode_label_sequence, load_csv, make_batches,
+                   stratified_sample)
 from .encoder import EncoderConfig
 from .head import ABLATION_MODES
 from .model import IdeaModel
@@ -248,6 +249,11 @@ def _load_model_and_batches(ns, csv_path, limit):
             f"{ns.command}: {vocab_path} has {len(vocab)} tokens but {ckpt} "
             f"has vocab_size {enc.vocab_size}"
         )
+    if encode_label_sequence(LabelSet(model.label_names), vocab) != (model.label_ids.tolist(), model.label_spans):
+        raise ValueError(
+            f"{ns.command}: {vocab_path} does not encode the label names of {ckpt} "
+            f"to its label ids and spans"
+        )
     docs = load_csv(csv_path, model.n_classes)
     if limit is not None:
         docs = stratified_sample(docs, limit, ns.seed)
@@ -301,11 +307,12 @@ def cmd_ablate(ns) -> int:
     return 0
 
 
-def gradcheck_setup(seed: int, lambda_l2: float = 0.01):
+def gradcheck_setup(seed: int):
     """Tiny 64-bit model and batch for finite-difference checking.
 
     Two documents (6 and 4 tokens, so one row is padded), three
-    single-token labels, d=8 over 2 transformer layers.
+    single-token labels, d=8 over 2 transformer layers; the loss takes
+    the default squared-norm coefficient.
     """
     rng = np.random.default_rng(seed)
     label_names = ["red", "green", "blue"]
@@ -340,7 +347,7 @@ def gradcheck_setup(seed: int, lambda_l2: float = 0.01):
         p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
 
     def fn():
-        return model.loss(batch, lambda_l2, training=False)[0]
+        return model.loss(batch, TrainConfig.lambda_l2, training=False)[0]
 
     return model, batch, fn
 

@@ -49,16 +49,6 @@ class AttentionParams:
     W_t: Tensor  # d x d, label-vector scores against the text pooled vector
     b_t: Tensor  # scalar
 
-    def __post_init__(self):
-        for name in ("W_m", "W_t"):
-            w = getattr(self, name)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ad.ShapeError(f"{name} must be square d x d, got {w.shape}")
-        if self.W_m.shape != self.W_t.shape:
-            raise ad.ShapeError(
-                f"W_m {self.W_m.shape} and W_t {self.W_t.shape} must match"
-            )
-
 
 @dataclass
 class IdeaFeatures:

@@ -49,6 +49,8 @@ class IdeaModel:
             raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {hd.GAMMA_MODE!r}")
         self.encoder_config = encoder_config
         self.label_names = list(label_names)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in label_ids):
+            raise ValueError(f"label ids must be integers, got {list(label_ids)}")
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
         self.label_spans = [tuple(s) for s in label_spans]
         self.ablation = ablation

@@ -5,6 +5,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import stdtr
@@ -32,6 +33,16 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The train/ablate flags, one field each; the ClassVars are the recipe's fixed values."""
+
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_epsilon: ClassVar[float] = 1e-6
+    grad_clip: ClassVar[float] = 1.0
+    gamma_mode: ClassVar[str] = GAMMA_MODE
+    backend: ClassVar[str] = EncoderConfig.backend
+    max_positions: ClassVar[int] = EncoderConfig.max_positions
+
     train_csv: str = ""
     test_csv: str = ""
     label_names: list[str] = field(default_factory=list)
@@ -39,30 +50,23 @@ class TrainConfig:
     batch_size: int = 32
     dropout: float = EncoderConfig.dropout
     lambda_l2: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-6
     epochs: int = 2
     seed: int = 0
     ablation: str = "full"
-    gamma_mode: str = GAMMA_MODE  # the only value IdeaModel accepts
     max_len: int = 128
     max_steps: int | None = None
-    grad_clip: float = 1.0
     train_limit: int | None = None
     test_limit: int | None = None
     # encoder size knobs, defaulting to EncoderConfig's desk-scale values
     d: int = EncoderConfig.d
     n_layers: int = EncoderConfig.n_layers
     n_heads: int = EncoderConfig.n_heads
-    backend: str = EncoderConfig.backend  # the only value EncoderConfig accepts
-    max_positions: int = EncoderConfig.max_positions
     min_freq: int = 1
     vocab_max_size: int | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "adam_beta1", "adam_beta2", "adam_epsilon"):
+        for name in ("learning_rate", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"TrainConfig.{name} must be positive")
         if self.lambda_l2 < 0:
@@ -152,9 +156,9 @@ class AdamW:
         self,
         params: dict[str, Tensor],
         lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-6,
+        beta1: float = TrainConfig.adam_beta1,
+        beta2: float = TrainConfig.adam_beta2,
+        eps: float = TrainConfig.adam_epsilon,
     ):
         self.params = params
         self.lr = lr
@@ -255,8 +259,6 @@ def train(config: TrainConfig, log=print) -> RunResult:
         d=config.d,
         n_layers=config.n_layers,
         n_heads=config.n_heads,
-        max_positions=config.max_positions,
-        backend=config.backend,
         dropout=config.dropout,
     )
     rng = np.random.default_rng(_derive_seed(config.seed, 4))
@@ -265,17 +267,10 @@ def train(config: TrainConfig, log=print) -> RunResult:
         labels,
         vocab,
         ablation=AblationConfig(config.ablation),
-        gamma_mode=config.gamma_mode,
         dtype=np.float32,
         rng=rng,
     )
-    opt = AdamW(
-        model.params,
-        lr=config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_epsilon,
-    )
+    opt = AdamW(model.params, lr=config.learning_rate)
     dropout_rng = np.random.default_rng(_derive_seed(config.seed, 5))
     val_batches = make_batches(val_docs, vocab, config.batch_size, max_len=config.max_len)
     test_batches = make_batches(test_docs, vocab, config.batch_size, max_len=config.max_len)

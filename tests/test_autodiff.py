@@ -656,16 +656,68 @@ def _layernorm_case(draw):
     return (lambda x, g, b: ad.layernorm(x, g, b)), [(*lead, dim), (dim,), (dim,)]
 
 
+def _scale_case(draw):
+    alpha = draw(st.floats(-3.0, 3.0))
+    return (lambda x: ad.scale(x, alpha)), [draw(SHAPES)]
+
+
+def _reshape_case(draw):
+    shape = draw(SHAPES)
+    target = draw(st.sampled_from([(math.prod(shape),), shape[::-1], (*shape, 1), (1, *shape)]))
+    return (lambda x: ad.reshape(x, target)), [shape]
+
+
+def _abs_diff_case(draw):
+    # tanh keeps both operands in (-1, 1), so the +-3 offset holds every |a - b| above 1, off the kink
+    shape = draw(SHAPES)
+    offset = Tensor(np.where(draw(hnp.arrays(bool, shape)), 3.0, -3.0))
+    return (lambda a, b: ad.abs_diff(ad.add(ad.tanh(a), offset), ad.tanh(b))), [shape, shape]
+
+
+def _dropout_case(draw):
+    rate, seed = draw(st.floats(0.0, 0.9)), draw(st.integers(0, 2**32 - 1))
+    # a fresh rng per call, so every call drops the same entries
+    return (lambda x: ad.dropout(x, rate, True, np.random.default_rng(seed))), [draw(SHAPES)]
+
+
+def _embedding_case(draw):
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # more ids than rows in each line of ids, so some row is looked up twice
+    lookups = draw(st.sampled_from([(rows + 1,), (2, rows + 2)]))
+    ids = draw(hnp.arrays(np.int64, lookups, elements=st.integers(0, rows - 1)))
+    return (lambda table: ad.embedding(table, ids)), [(rows, width)]
+
+
+def _cross_entropy_case(draw):
+    k, n_classes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    gold = draw(st.lists(st.integers(0, n_classes - 1), min_size=k, max_size=k))
+    return (lambda logits: ad.cross_entropy(logits, gold)), [(k, n_classes)]
+
+
+def _frobenius_sq_case(draw):
+    shapes = draw(st.lists(SHAPES, min_size=1, max_size=3))
+    return (lambda *params: ad.frobenius_sq(list(params))), shapes
+
+
 OP_CASES = {
     "add": lambda draw: _either_broadcasts(draw, ad.add),
     "mul": lambda draw: _either_broadcasts(draw, ad.mul),
+    "scale": _scale_case,
     "matmul": _matmul_case,
+    "tanh": lambda draw: (ad.tanh, [draw(SHAPES)]),
+    "gelu": lambda draw: (ad.gelu, [draw(SHAPES)]),
+    "abs_diff": _abs_diff_case,
     "reduce": _reduce_case,
     "concat": _concat_case,
+    "dropout": _dropout_case,
+    "reshape": _reshape_case,
     "slice_axis": _slice_case,
     "broadcast_to": _broadcast_to_case,
+    "embedding": _embedding_case,
     "softmax": _softmax_case,
     "layernorm": _layernorm_case,
+    "cross_entropy": _cross_entropy_case,
+    "frobenius_sq": _frobenius_sq_case,
 }
 
 

@@ -2,13 +2,13 @@ import errno
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from idea.cli import DATASETS, build_parser, gradcheck_setup, main
+from idea.cli import _FIELD_NAMES, DATASETS, build_parser, gradcheck_setup, main
 from idea.data import load_csv
 from idea.head import ABLATION_MODES
 from idea.training import TrainConfig
@@ -281,6 +281,8 @@ HEADER_DAMAGE = {
     "label-id": lambda h: {**h, "label_ids": h["label_ids"][:-1] + [10**6]},
     "span-count": lambda h: {**h, "label_spans": h["label_spans"][:-1]},
     "span-order": lambda h: {**h, "label_spans": [s[::-1] for s in h["label_spans"]]},
+    "float-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], h["label_ids"][1] + 0.9, *h["label_ids"][2:]]},
+    "bool-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], True, *h["label_ids"][2:]]},
 }
 
 
@@ -331,6 +333,25 @@ def test_eval_vocab_checkpoint_mismatch_exits_1(trained_dir, tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
     assert code == 1
     assert vocab_path in err and os.path.join(model_dir, "model.ckpt") in err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-features"])
+def test_vocab_with_swapped_label_tokens_exits_1(trained_dir, tmp_path, capsys, command):
+    # same size as the checkpoint's vocabulary, but two label tokens trade ids
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    vocab_path = os.path.join(model_dir, "vocab.txt")
+    with open(vocab_path, encoding="utf-8") as fh:
+        tokens = fh.read().split("\n")
+    i, j = tokens.index("sport"), tokens.index("finance")
+    tokens[i], tokens[j] = tokens[j], tokens[i]
+    with open(vocab_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(tokens))
+    args = ["--test-csv", "/no/such.csv"] if command == "eval" else [
+        "--csv", "/no/such.csv", "--out", str(tmp_path / "features.tsv")]
+    code, _, err = run_cli(capsys, command, "--model-dir", model_dir, *args)
+    assert code == 1
+    assert vocab_path in err and os.path.join(model_dir, "model.ckpt") in err
+    assert "/no/such.csv" not in err and not os.path.exists(tmp_path / "features.tsv")
 
 
 def test_train_max_len_beyond_positions_exits_1(capsys):
@@ -552,6 +573,12 @@ def test_help_lists_flags_with_defaults(capsys):
     assert "32" in stdout  # batch size default
     assert "0.01" in stdout  # lambda default
     assert "0.1" in stdout  # dropout default
+
+
+def test_train_config_fields_are_the_train_flags():
+    flags = build_parser().parse_args(["train"]).train_flags
+    assert {f.name for f in fields(TrainConfig)} == {
+        _FIELD_NAMES.get(dest, dest) for dest in flags if dest != "dataset"}
 
 
 def test_dataset_presets_match_expected_shapes():

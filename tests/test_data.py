@@ -1,8 +1,10 @@
+import ast
 import os
 
 import numpy as np
 import pytest
 
+import idea
 from idea.data import (
     CLS,
     PAD,
@@ -112,6 +114,43 @@ def test_atomic_open_keeps_previous_file_on_error(tmp_path):
             raise RuntimeError("disk gone")
     assert path.read_text() == "previous\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _plain_writes(source: str, exempt_function: str | None = None) -> list[int]:
+    """Lines of the open(...) calls whose mode may write, append, create or update
+    (a mode that is not a literal counts), outside the body of exempt_function."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == exempt_function for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        reads = isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+        if not reads and id(node) not in exempt:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_plain_writes_are_found():
+    assert _plain_writes("open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')") == []
+    assert _plain_writes("open(p, 'w')\nopen(p, mode='ab')\nopen(p, 'x')\nopen(p, 'r+')\nopen(p, m)") == [1, 2, 3, 4, 5]
+    inside = "def atomic_open(p, mode):\n    open(p, mode)"
+    assert _plain_writes(inside, "atomic_open") == [] and _plain_writes(inside) == [2]
+
+
+def test_every_artefact_write_goes_through_atomic_open():
+    src = os.path.dirname(idea.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                lines = _plain_writes(fh.read(), "atomic_open" if name == "data.py" else None)
+            if lines:
+                found[name] = lines
+    assert found == {}
 
 
 def test_vocab_save_failure_keeps_previous_file(tmp_path):

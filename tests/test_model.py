@@ -334,14 +334,18 @@ def test_parameter_table_reproduces_the_old_init(dtype, classifier_init, ablatio
 @pytest.mark.parametrize("field, value, match", [
     ("label_ids", [2, 17, 3], "label ids outside \\[0, 17\\)"),
     ("label_ids", [-1, 4, 3], "label ids outside \\[0, 17\\)"),
+    ("label_ids", [2, 5.9, 3], "label ids must be integers"),
+    ("label_ids", [2, 5.0, 3], "label ids must be integers"),
+    ("label_ids", [2, True, 3], "label ids must be integers"),
+    ("label_ids", [2, "5", 3], "label ids must be integers"),
     ("label_spans", [(1, 2), (3, 4)], "2 label spans for 3 label names"),
     ("label_spans", [(1, 2), (3, 4), (5, 6), (5, 6)], "4 label spans for 3 label names"),
     ("label_spans", [(1, 2), (3, 3), (5, 6)], "label span \\(3, 3\\) is empty"),
     ("label_spans", [(1, 2), (3, 4), (5, 8)], "label span \\(5, 8\\) is empty or outside the 7"),
     ("label_spans", [(-1, 2), (3, 4), (5, 6)], "label span \\(-1, 2\\)"),
     ("label_spans", [(1, 2, 3), (3, 4), (5, 6)], "label span \\(1, 2, 3\\)"),
-], ids=["id-too-big", "id-negative", "too-few-spans", "too-many-spans", "empty-span",
-        "span-past-end", "negative-start", "three-ends"])
+], ids=["id-too-big", "id-negative", "id-float", "id-whole-float", "id-bool", "id-string", "too-few-spans",
+        "too-many-spans", "empty-span", "span-past-end", "negative-start", "three-ends"])
 def test_model_rejects_bad_label_fields(field, value, match):
     model, _ = build_model()
     fields = {"label_ids": model.label_ids, "label_spans": model.label_spans, field: value}
