@@ -176,23 +176,6 @@ def tanh(x: Tensor) -> Tensor:
     return _result(data, (x,), backward_fn, "tanh")
 
 
-_GELU_C = 0.7978845608028654  # sqrt(2/pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    v = x.data
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    data = 0.5 * v * (1.0 + t)
-
-    def backward_fn(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v * v)
-        return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner),)
-
-    return _result(data, (x,), backward_fn, "gelu")
-
-
 def abs_diff(a: Tensor, b: Tensor) -> Tensor:
     """|a - b| elementwise; the subgradient at ties is taken as 0."""
     if a.data.shape != b.data.shape:
@@ -356,6 +339,41 @@ def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: 
                 gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
 
     return _result(out, (x, Wq, bq, Wk, Wv, bv, Wo, bo), backward_fn, "self_attention")
+
+
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate: float,
+                 training: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """dropout(gelu(x W1 + b1) W2 + b2) over x's last axis, as one tape node.
+
+    GELU is the tanh approximation; dropout is as in dropout(). The
+    backward pass is written out by hand; its weight gradients are
+    single GEMMs over all rows of x.
+    """
+    xd = x.data
+    h = np.matmul(xd, W1.data) + b1.data
+    t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
+    act = 0.5 * h * (1.0 + t)
+    out = np.matmul(act, W2.data) + b2.data
+    keep = _dropout_keep(out.shape, out.dtype, rate, training, rng)
+    scale_ = 1.0 / (1.0 - rate)
+    if keep is not None:
+        out = out * keep * scale_
+
+    def backward_fn(g):
+        if keep is not None:
+            g = g * keep * scale_
+        g = g.reshape(-1, g.shape[-1])  # one row per position of x
+        n = len(g)
+        h2, t2 = h.reshape(n, -1), t.reshape(n, -1)
+        dgelu = 0.5 * (1.0 + t2) + 0.5 * h2 * (1.0 - t2 * t2) * (_GELU_C * (1.0 + 3 * 0.044715 * h2 * h2))
+        gh = (g @ W2.data.T) * dgelu
+        return ((gh @ W1.data.T).reshape(xd.shape), xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
+                act.reshape(n, -1).T @ g, g.sum(axis=0))
+
+    return _result(out, (x, W1, b1, W2, b2), backward_fn, "feed_forward")
 
 
 def reshape(x: Tensor, shape) -> Tensor:

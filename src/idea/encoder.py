@@ -6,6 +6,7 @@ multi-head self-attention, feed-forward, post-layer norms, pooler).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,22 @@ class EncoderConfig:
     def __post_init__(self):
         if self.ffn_dim is None:
             self.ffn_dim = 4 * self.d
+        for name in ("vocab_size", "d", "n_layers", "n_heads", "ffn_dim", "max_positions"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value > 0):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.backend != BACKEND:
             raise ValueError(f"unknown encoder backend {self.backend!r}; expected {BACKEND!r}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (_is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not (_is_real(self.layer_norm_eps) and 0.0 < self.layer_norm_eps < math.inf):
+            raise ValueError(f"layer_norm_eps must be a positive finite number, got {self.layer_norm_eps!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -94,12 +105,15 @@ def _self_attention(x, key_bias, params, prefix, config, training, rng):
     return ad.self_attention(x, key_bias, *weights, config.n_heads, config.dropout, training, rng)
 
 
+def _feed_forward(x, params, prefix, config, training, rng):
+    weights = (params[prefix + "ffn." + name] for name in ("W1", "b1", "W2", "b2"))
+    return ad.feed_forward(x, *weights, config.dropout, training, rng)
+
+
 def _encoder_layer(x, key_bias, params, prefix, config, training, rng):
     attn = _self_attention(x, key_bias, params, prefix, config, training, rng)
     x = ad.layernorm(ad.add(x, attn), params[prefix + "ln1.g"], params[prefix + "ln1.b"], config.layer_norm_eps)
-    h = _linear(ad.gelu(_linear(x, params[prefix + "ffn.W1"], params[prefix + "ffn.b1"])),
-                params[prefix + "ffn.W2"], params[prefix + "ffn.b2"])
-    h = ad.dropout(h, config.dropout, training, rng)
+    h = _feed_forward(x, params, prefix, config, training, rng)
     return ad.layernorm(ad.add(x, h), params[prefix + "ln2.g"], params[prefix + "ln2.b"], config.layer_norm_eps)
 
 

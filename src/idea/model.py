@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import SEP, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence
+from .data import SEP, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence, tokenize
 from .encoder import (
     EncoderConfig,
     ParamSpec,
@@ -49,7 +49,10 @@ class IdeaModel:
             raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {hd.GAMMA_MODE!r}")
         self.encoder_config = encoder_config
         self.label_names = list(label_names)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in label_ids):
+        for i, name in enumerate(self.label_names):  # each name needs a span in the label sequence
+            if not (isinstance(name, str) and tokenize(name)):
+                raise ValueError(f"label name {i} must be a string with at least one token, got {name!r}")
+        if not all(_is_int(i) for i in label_ids):
             raise ValueError(f"label ids must be integers, got {list(label_ids)}")
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
         self.label_spans = [tuple(s) for s in label_spans]
@@ -62,7 +65,9 @@ class IdeaModel:
         if len(self.label_spans) != self.n_classes:
             raise ValueError(f"{len(self.label_spans)} label spans for {self.n_classes} label names")
         for span in self.label_spans:  # the rule pool_label_vectors applies
-            if len(span) != 2 or not 0 <= span[0] < span[1] <= len(self.label_ids):
+            if len(span) != 2 or not all(_is_int(i) for i in span):
+                raise ValueError(f"label span {span} is not a pair of integers")
+            if not 0 <= span[0] < span[1] <= len(self.label_ids):
                 raise ValueError(f"label span {span} is empty or outside the {len(self.label_ids)} label ids")
         if params is None:
             params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
@@ -207,6 +212,10 @@ class IdeaModel:
     def load_param_data(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in snapshot.items():
             self.params[name].data[...] = arr
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_param_list(listed, specs: list[ParamSpec]) -> None:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import stdtr
 
 from .autodiff import Tensor, backward
 from .data import (
@@ -382,6 +381,8 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
         if ma == mb:
             raise ValueError("welch_t_test: zero variance in both samples with equal means")
         return WelchResult(t=math.copysign(math.inf, ma - mb), p=0.0, df=float("nan"))
+    from scipy.special import stdtr  # not at module level: it adds ~250 ms and ~26 MB to every command
+
     t = (ma - mb) / math.sqrt(se2)
     df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     p = 2.0 * float(stdtr(df, -abs(t)))

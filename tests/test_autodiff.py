@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import idea
 from idea import autodiff as ad
 from idea import encoder
 from idea.cli import gradcheck_setup
@@ -444,9 +447,14 @@ def test_layernorm_gradcheck(rng):
     assert report.max_relative_error < 1e-6
 
 
-def test_gelu_gradcheck(rng):
-    x = leaf(rng, 3, 4)
-    report = grad_check(lambda: ad.reduce(ad.gelu(x)), {"x": x}, step=1e-6)
+def test_feed_forward_gradcheck(rng):
+    x, w1, b1, w2, b2 = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5), leaf(rng, 5, 4), leaf(rng, 4)
+    tgt = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def fn():  # a fresh rng per call, so every call drops the same entries
+        return ad.reduce(ad.mul(ad.feed_forward(x, w1, b1, w2, b2, 0.3, True, np.random.default_rng(0)), tgt))
+
+    report = grad_check(fn, {"x": x, "W1": w1, "b1": b1, "W2": w2, "b2": b2}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
@@ -479,7 +487,9 @@ def _gelu_oracle(x: float) -> float:
 def test_gelu_matches_scalar_oracle(rng, dtype):
     x = np.concatenate([np.linspace(-10.0, 10.0, 4001), rng.normal(0.0, 3.0, 2000), [0.0, 1e-30]])
     x = x.astype(dtype)
-    got = ad.gelu(Tensor(x)).data
+    # x @ I and adding 0 are exact, so feed_forward returns GELU's own values
+    one, zero = Tensor(np.ones((1, 1), dtype)), Tensor(np.zeros(1, dtype))
+    got = ad.feed_forward(Tensor(x[:, None]), one, zero, one, zero, 0.0, False).data[:, 0]
     assert got.dtype == dtype
     want = np.array([_gelu_oracle(float(v)) for v in x])
     # ulps at the input's magnitude: 1 + tanh cancels for negative x, so the
@@ -502,7 +512,9 @@ def _op_cases(rng):
         ("scale", lambda x: ad.scale(x, 0.5), (f32(2, 3),)),
         ("matmul", ad.matmul, (f32(2, 2, 3), f32(3, 4))),
         ("tanh", ad.tanh, (f32(2, 3),)),
-        ("gelu", ad.gelu, (f32(2, 3),)),
+        ("feed_forward",
+         lambda x, *w: ad.feed_forward(x, *w, 0.5, True, np.random.default_rng(0)),
+         (f32(2, 3, 4), f32(4, 5), f32(5), f32(5, 4), f32(4))),
         ("abs_diff", ad.abs_diff, (f32(2, 3), f32(2, 3))),
         ("softmax", lambda x: ad.softmax(x, axis=1), (f32(2, 3),)),
         ("softmax_masked", lambda x: ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)), (f32(2, 3),)),
@@ -548,7 +560,7 @@ def test_every_op_of_the_gradcheck_model_has_a_dtype_case(rng):
                 fresh = [p for p in node.lineage.inputs if id(p) not in seen]
                 seen.update(id(p) for p in fresh)
                 stack.extend(fresh)
-    assert "self_attention" in ops and "dropout" in ops
+    assert {"self_attention", "feed_forward", "dropout"} <= ops
     assert ops <= {name for name, _, _ in _op_cases(rng)}
 
 
@@ -680,6 +692,17 @@ def _dropout_case(draw):
     return (lambda x: ad.dropout(x, rate, True, np.random.default_rng(seed))), [draw(SHAPES)]
 
 
+def _feed_forward_case(training):
+    def case(draw):
+        lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+        d, f, d_out = (draw(st.integers(1, 4)) for _ in range(3))
+        rate, seed = draw(st.floats(0.05, 0.9)), draw(st.integers(0, 2**32 - 1))
+        # a fresh rng per call, so every call drops the same entries
+        return ((lambda x, *w: ad.feed_forward(x, *w, rate, training, np.random.default_rng(seed))),
+                [(*lead, d), (d, f), (f,), (f, d_out), (d_out,)])
+    return case
+
+
 def _embedding_case(draw):
     rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     # more ids than rows in each line of ids, so some row is looked up twice
@@ -705,7 +728,8 @@ OP_CASES = {
     "scale": _scale_case,
     "matmul": _matmul_case,
     "tanh": lambda draw: (ad.tanh, [draw(SHAPES)]),
-    "gelu": lambda draw: (ad.gelu, [draw(SHAPES)]),
+    "feed_forward": _feed_forward_case(training=False),
+    "feed_forward_dropout": _feed_forward_case(training=True),
     "abs_diff": _abs_diff_case,
     "reduce": _reduce_case,
     "concat": _concat_case,
@@ -771,10 +795,28 @@ def _twenty_node_attention(x, key_bias, params, prefix, config, training, rng):
     return Tensor(dropout(np.matmul(ctx, w("Wo")) + w("bo")))
 
 
-@pytest.mark.parametrize("training", [False, True])
-@pytest.mark.parametrize("k_batch, seq, d, heads", [(32, 24, 64, 4), (8, 50, 64, 4), (3, 7, 16, 4),
-                                                    (2, 5, 6, 3), (1, 1, 8, 2)])
-def test_encode_matches_twenty_node_attention_bitwise(monkeypatch, training, k_batch, seq, d, heads):
+def _six_node_feed_forward(x, params, prefix, config, training, rng):
+    """The op chain feed_forward replaced, in plain numpy: matmul, add, gelu, matmul, add, dropout."""
+    def w(name):
+        return params[prefix + "ffn." + name].data
+
+    h = np.matmul(x.data, w("W1"))
+    h = h + w("b1")
+    t = np.tanh(0.7978845608028654 * (h + 0.044715 * (h * h * h)))
+    h = 0.5 * h * (1.0 + t)
+    h = np.matmul(h, w("W2"))
+    h = h + w("b2")
+    if training:
+        keep = (rng.random(h.shape) >= config.dropout).astype(h.dtype)
+        h = h * keep * (1.0 / (1.0 - config.dropout))
+    return Tensor(h)
+
+
+ENCODE_SHAPES = [(32, 24, 64, 4), (8, 50, 64, 4), (3, 7, 16, 4), (2, 5, 6, 3), (1, 1, 8, 2)]
+
+
+def _encode_bytes(training, k_batch, seq, d, heads):
+    """A closure running float32 encode on fixed random weights: output bytes and the rng's next draw."""
     rng = np.random.default_rng(seq)
     config = encoder.EncoderConfig(vocab_size=40, d=d, n_layers=2, n_heads=heads, max_positions=64)
     params = encoder.init_params(encoder.param_specs(config), rng, np.float32)
@@ -789,6 +831,57 @@ def test_encode_matches_twenty_node_attention_bitwise(monkeypatch, training, k_b
         out = encoder.encode(ids, mask, config, params, training, draws)
         return out.tokens.data.tobytes() + out.pooled.data.tobytes(), draws.random()
 
+    return run
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_encode_matches_twenty_node_attention_bitwise(monkeypatch, training, k_batch, seq, d, heads):
+    run = _encode_bytes(training, k_batch, seq, d, heads)
     fused = run()
     monkeypatch.setattr(encoder, "_self_attention", _twenty_node_attention)
     assert fused == run()
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_encode_matches_six_node_feed_forward_bitwise(monkeypatch, training, k_batch, seq, d, heads):
+    run = _encode_bytes(training, k_batch, seq, d, heads)
+    fused = run()
+    monkeypatch.setattr(encoder, "_feed_forward", _six_node_feed_forward)
+    assert fused == run()
+
+
+def _unused_tape_ops(autodiff_source: str, other_sources: list[str]) -> set[str]:
+    """Module-level functions of autodiff_source that call _result (so record a tape node)
+    and that no other source names, as `ad.<op>` on a module alias or in `from .autodiff import`."""
+    ops = {fn.name for fn in ast.parse(autodiff_source).body if isinstance(fn, ast.FunctionDef)
+           and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_result" for n in ast.walk(fn))}
+    used = set()
+    for source in other_sources:
+        tree = ast.parse(source)
+        aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   for a in n.names if a.name == "autodiff"}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "autodiff":
+                used.update(a.name for a in n.names)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases:
+                used.add(n.attr)
+    return ops - used
+
+
+def test_unused_tape_ops_are_found():
+    core = "def _result(*a): pass\ndef op(x): return _result(x)\ndef helper(x): return x\n"
+    assert _unused_tape_ops(core, ["from . import autodiff as ad\nad.op(1)"]) == set()
+    assert _unused_tape_ops(core, ["from .autodiff import op"]) == set()
+    assert _unused_tape_ops(core, ["from . import autodiff as ad\nad.helper(1)", "op = 1\nx.op(1)"]) == {"op"}
+
+
+def test_every_tape_op_has_a_user_in_the_package():
+    src = os.path.dirname(idea.__file__)
+    sources = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    assert _unused_tape_ops(sources.pop("autodiff.py"), list(sources.values())) == set()

@@ -2,12 +2,15 @@ import errno
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import idea
 from idea.cli import _FIELD_NAMES, DATASETS, build_parser, gradcheck_setup, main
 from idea.data import load_csv
 from idea.head import ABLATION_MODES
@@ -283,6 +286,13 @@ HEADER_DAMAGE = {
     "span-order": lambda h: {**h, "label_spans": [s[::-1] for s in h["label_spans"]]},
     "float-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], h["label_ids"][1] + 0.9, *h["label_ids"][2:]]},
     "bool-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], True, *h["label_ids"][2:]]},
+    "zero-heads": lambda h: {**h, "encoder": {**h["encoder"], "n_heads": 0}},
+    "string-eps": lambda h: {**h, "encoder": {**h["encoder"], "layer_norm_eps": "x"}},
+    "bool-d": lambda h: {**h, "encoder": {**h["encoder"], "d": True}},
+    "float-layers": lambda h: {**h, "encoder": {**h["encoder"], "n_layers": 2.0}},
+    "empty-label-name": lambda h: {**h, "label_names": ["", *h["label_names"][1:]]},
+    "float-span-end": lambda h: {**h, "label_spans": [[h["label_spans"][0][0], float(h["label_spans"][0][1])],
+                                                      *h["label_spans"][1:]]},
 }
 
 
@@ -589,3 +599,13 @@ def test_dataset_presets_match_expected_shapes():
     assert DATASETS["yelpf"][0] == ["bad", "poor", "fair", "good", "excellent"]
     # per-dataset default epochs
     assert [DATASETS[k][1] for k in ("agnews", "dbpedia", "yahoo", "yelpp", "yelpf")] == [2, 3, 2, 5, 5]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only welch_t_test needs scipy; importing scipy.special costs every command ~250 ms and ~26 MB
+    src = os.path.dirname(os.path.dirname(idea.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, idea.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -344,10 +344,17 @@ def test_parameter_table_reproduces_the_old_init(dtype, classifier_init, ablatio
     ("label_spans", [(1, 2), (3, 4), (5, 8)], "label span \\(5, 8\\) is empty or outside the 7"),
     ("label_spans", [(-1, 2), (3, 4), (5, 6)], "label span \\(-1, 2\\)"),
     ("label_spans", [(1, 2, 3), (3, 4), (5, 6)], "label span \\(1, 2, 3\\)"),
+    ("label_spans", [(1, 2.0), (3, 4), (5, 6)], "label span \\(1, 2.0\\) is not a pair of integers"),
+    ("label_spans", [(1, 2), (True, 4), (5, 6)], "label span \\(True, 4\\) is not a pair of integers"),
+    ("label_names", ["sport", "", "science"], "label name 1 must be a string with at least one token, got ''"),
+    ("label_names", ["sport", "finance", " \t"], "label name 2 must be a string"),
+    ("label_names", [7, "finance", "science"], "label name 0 must be a string"),
 ], ids=["id-too-big", "id-negative", "id-float", "id-whole-float", "id-bool", "id-string", "too-few-spans",
-        "too-many-spans", "empty-span", "span-past-end", "negative-start", "three-ends"])
+        "too-many-spans", "empty-span", "span-past-end", "negative-start", "three-ends", "float-end",
+        "bool-start", "empty-name", "blank-name", "int-name"])
 def test_model_rejects_bad_label_fields(field, value, match):
     model, _ = build_model()
-    fields = {"label_ids": model.label_ids, "label_spans": model.label_spans, field: value}
+    fields = {"label_names": model.label_names, "label_ids": model.label_ids, "label_spans": model.label_spans,
+              field: value}
     with pytest.raises(ValueError, match=match):
-        IdeaModel(model.encoder_config, model.label_names, fields["label_ids"], fields["label_spans"])
+        IdeaModel(model.encoder_config, fields["label_names"], fields["label_ids"], fields["label_spans"])
