@@ -1,6 +1,8 @@
 import ast
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -885,3 +887,30 @@ def test_every_tape_op_has_a_user_in_the_package():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 sources[name] = fh.read()
     assert _unused_tape_ops(sources.pop("autodiff.py"), list(sources.values())) == set()
+
+
+# ---------------------------------------------------------------------------
+# allocator set-up at import
+
+# C-library loaders of platforms without glibc's mallopt, as source for a fresh interpreter
+NO_MALLOPT_LOADERS = {
+    "no-c-library": "def loader(name, *args, **kwargs): raise OSError('no C library')",
+    "no-mallopt": "def loader(name, *args, **kwargs): return object()",  # macOS, musl
+    "none-rejected": "def loader(name, *args, **kwargs): raise TypeError('name must be a str')",  # Windows
+}
+
+
+@pytest.mark.parametrize("loader", list(NO_MALLOPT_LOADERS))
+def test_import_skips_the_allocator_setting_without_mallopt(loader):
+    src = os.path.dirname(os.path.dirname(idea.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "\n".join([
+        "import ctypes",
+        NO_MALLOPT_LOADERS[loader],
+        "ctypes.CDLL = loader",
+        "import idea",
+        "print(idea.autodiff.FREED_MEMORY_KEPT)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

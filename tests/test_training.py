@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from idea.autodiff import Tensor, backward
+from idea import synthetic
+from idea.autodiff import FREED_MEMORY_KEPT, Tensor, backward
 from idea.data import Document, LabelSet, Vocab, build_vocab, load_csv, make_batches
+from idea.encoder import EncoderConfig
+from idea.head import AblationConfig
 from idea.model import IdeaModel
 from idea.training import (
     AdamW,
@@ -377,6 +380,44 @@ def test_train_limits_subsample(synthetic_corpus):
     res = train(cfg, log=lambda m: None)
     assert res.test_metrics.n_samples == 60
     assert res.val_metrics[0].n_samples == 60
+
+
+@pytest.mark.skipif(not FREED_MEMORY_KEPT, reason="the C library has no usable mallopt")
+def test_warm_train_step_takes_few_page_faults():
+    """A warmed default step reuses freed heap memory; unmapping it on free costs ~1,700 faults."""
+    import resource  # POSIX only, like mallopt
+
+    names = ["World", "Sports", "Business", "Sci/Tech"]
+    rows, _ = synthetic.generate_rows(
+        256, seed=0, n_classes=4, label_names=names, doc_keywords=12, doc_noise=8,
+        keywords_per_class=10, overlap=3, confusion=0.25,
+    )  # criterion 9's AGNews-format settings: about 27 tokens per row with [CLS] and [SEP]
+    docs = [Document(f"{title} {desc}", cls) for cls, title, desc in rows]
+    config = TrainConfig(label_names=names)
+    labels = LabelSet(names)
+    vocab = build_vocab(docs, config.min_freq, config.vocab_max_size, labels)
+    enc_cfg = EncoderConfig(vocab_size=len(vocab), d=config.d, n_layers=config.n_layers,
+                            n_heads=config.n_heads, dropout=config.dropout)
+    model = IdeaModel.build(enc_cfg, labels, vocab, ablation=AblationConfig(config.ablation),
+                            dtype=np.float32, rng=np.random.default_rng(0))
+    opt = AdamW(model.params, lr=config.learning_rate)
+    batches = make_batches(docs, vocab, config.batch_size, shuffle=True, seed=1,
+                           max_len=config.max_len)
+    batches.sort(key=lambda b: b.token_ids.shape[1], reverse=True)  # no step outgrows the warm-up
+    dropout_rng = np.random.default_rng(2)
+
+    def faults_of(steps):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for batch in steps:
+            model.zero_grads()
+            loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=dropout_rng)
+            backward(loss)
+            clip_grads(model.params, config.grad_clip)
+            opt.step()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults_of(batches[:3])  # warm-up: the heap grows to a step's working set
+    assert faults_of(batches[3:8]) / 5 < 100
 
 
 # ---------------------------------------------------------------------------
