@@ -284,14 +284,14 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def _dropout_keep(shape, dtype, rate: float, training: bool, rng) -> np.ndarray | None:
-    """dropout's 0/1 keep mask for an output of this shape; None when dropout is the identity."""
+    """dropout's mask for this shape: 1/(1-rate) where kept, 0 where dropped; None when dropout is the identity."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("dropout: an rng is required when training")
-    return (rng.random(shape) >= rate).astype(dtype)
+    return np.multiply(rng.random(shape) >= rate, 1.0 / (1.0 - rate), dtype=dtype)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -302,12 +302,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     keep = _dropout_keep(x.data.shape, x.data.dtype, rate, training, rng)
     if keep is None:
         return x
-    scale_ = 1.0 / (1.0 - rate)
 
     def backward_fn(g):
-        return (g * keep * scale_,)
+        return (g * keep,)
 
-    return _result(x.data * keep * scale_, (x,), backward_fn, "dropout")
+    return _result(x.data * keep, (x,), backward_fn, "dropout")
 
 
 def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: Tensor,
@@ -338,22 +337,21 @@ def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: 
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     keep_p = _dropout_keep(probs.shape, xd.dtype, rate, training, rng)
-    scale_ = 1.0 / (1.0 - rate)
-    weights = probs if keep_p is None else probs * keep_p * scale_
+    weights = probs if keep_p is None else probs * keep_p
     ctx = merge(weights @ v)
     out = ctx.reshape(xd.shape) @ Wo.data + bo.data
     keep_o = _dropout_keep(out.shape, xd.dtype, rate, training, rng)
     if keep_o is not None:
-        out = out * keep_o * scale_
+        out = out * keep_o
 
     def backward_fn(g):
         if keep_o is not None:
-            g = g * keep_o * scale_
+            g = g * keep_o
         g = g.reshape(k_batch * seq, d)
         gctx = split(g @ Wo.data.T)
         gweights = gctx @ v.swapaxes(-1, -2)
         if keep_p is not None:
-            gweights = gweights * keep_p * scale_
+            gweights = gweights * keep_p
         gscores = probs * (gweights - np.sum(gweights * probs, axis=-1, keepdims=True)) * alpha
         gq = merge(gscores @ k)
         gk = merge(gscores.swapaxes(-1, -2) @ q)
@@ -383,13 +381,12 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate
     act = 0.5 * h * (1.0 + t)
     out = np.matmul(act, W2.data) + b2.data
     keep = _dropout_keep(out.shape, out.dtype, rate, training, rng)
-    scale_ = 1.0 / (1.0 - rate)
     if keep is not None:
-        out = out * keep * scale_
+        out = out * keep
 
     def backward_fn(g):
         if keep is not None:
-            g = g * keep * scale_
+            g = g * keep
         g = g.reshape(-1, g.shape[-1])  # one row per position of x
         n = len(g)
         h2, t2 = h.reshape(n, -1), t.reshape(n, -1)

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import synthetic
 from .autodiff import grad_check
-from .data import (Document, LabelSet, Vocab, atomic_open, encode_label_sequence, load_csv, make_batches,
-                   stratified_sample)
+from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
 from .encoder import EncoderConfig
 from .head import ABLATION_MODES
 from .model import IdeaModel
@@ -57,6 +56,8 @@ ABLATION_FLAGS = {
 }
 
 GRADCHECK_THRESHOLD = 1e-4
+
+MODEL_DIR_HELP = "directory written by train; only its model.ckpt is read (its header holds the vocabulary)"
 
 # flag dest -> TrainConfig field, where the two names differ
 _FIELD_NAMES = {"lr": "learning_rate", "labels": "label_names", "out": "out_dir"}
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", formatter_class=fmt, help="evaluate a saved model")
     p_eval.set_defaults(run=cmd_eval)
-    p_eval.add_argument("--model-dir", required=True, help="directory with model.ckpt and vocab.txt")
+    p_eval.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_eval.add_argument("--test-csv", required=True)
     p_eval.add_argument("--test-limit", type=int, default=None)
     p_eval.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export-features", formatter_class=fmt,
                            help="dump per-sample fused feature vectors as TSV")
     p_exp.set_defaults(run=cmd_export_features)
-    p_exp.add_argument("--model-dir", required=True)
+    p_exp.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
     p_exp.add_argument("--limit", type=int, default=None)
@@ -233,31 +234,17 @@ def cmd_train(ns) -> int:
 def _load_model_and_batches(ns, csv_path, limit):
     """(model, document count, batches): --model-dir's model over csv_path, maybe subsampled."""
     ckpt = os.path.join(ns.model_dir, "model.ckpt")
-    vocab_path = os.path.join(ns.model_dir, "vocab.txt")
-    for path in (ckpt, vocab_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"{ns.command}: missing {path}")
-    model, vocab = IdeaModel.load(ckpt), Vocab.load(vocab_path)
+    model = IdeaModel.load(ckpt)
     enc = model.encoder_config
     if ns.max_len > enc.max_positions - 2:  # [CLS] and [SEP] take two positions
         raise ValueError(
             f"{ns.command}: --max-len {ns.max_len} exceeds max_positions - 2 "
             f"= {enc.max_positions - 2} of {ckpt}"
         )
-    if len(vocab) != enc.vocab_size:
-        raise ValueError(
-            f"{ns.command}: {vocab_path} has {len(vocab)} tokens but {ckpt} "
-            f"has vocab_size {enc.vocab_size}"
-        )
-    if encode_label_sequence(LabelSet(model.label_names), vocab) != (model.label_ids.tolist(), model.label_spans):
-        raise ValueError(
-            f"{ns.command}: {vocab_path} does not encode the label names of {ckpt} "
-            f"to its label ids and spans"
-        )
     docs = load_csv(csv_path, model.n_classes)
     if limit is not None:
         docs = stratified_sample(docs, limit, ns.seed)
-    return model, len(docs), make_batches(docs, vocab, ns.batch_size, max_len=ns.max_len)
+    return model, len(docs), make_batches(docs, model.vocab, ns.batch_size, max_len=ns.max_len)
 
 
 def cmd_eval(ns) -> int:

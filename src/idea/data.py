@@ -83,9 +83,24 @@ class Vocab:
             toks = [line.rstrip("\n") for line in fh]
         while toks and toks[-1] == "":
             toks.pop()
-        if tuple(toks[:4]) != SPECIAL_TOKENS:
-            raise ValueError(f"{path}: missing special-token header")
-        return cls({t: i for i, t in enumerate(toks)}, toks)
+        try:
+            return cls.from_list(toks)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def from_list(cls, tokens) -> "Vocab":
+        """The vocabulary whose ids are the positions in tokens: the specials, then distinct strings."""
+        if not isinstance(tokens, list) or tuple(tokens[:4]) != SPECIAL_TOKENS:
+            raise ValueError(f"vocabulary must be a list that starts with {list(SPECIAL_TOKENS)}")
+        token_to_id = {}
+        for i, tok in enumerate(tokens):
+            if not isinstance(tok, str):
+                raise ValueError(f"vocabulary token {i} is not a string: {tok!r}")
+            if tok in token_to_id:
+                raise ValueError(f"vocabulary token {i} {tok!r} repeats token {token_to_id[tok]}")
+            token_to_id[tok] = i
+        return cls(token_to_id, tokens)
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocab":

@@ -96,10 +96,6 @@ def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype=np.float
     return params
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
-
-
 def _self_attention(x, key_bias, params, prefix, config, training, rng):
     weights = (params[prefix + "attn." + name] for name in ("Wq", "bq", "Wk", "Wv", "bv", "Wo", "bo"))
     return ad.self_attention(x, key_bias, *weights, config.n_heads, config.dropout, training, rng)
@@ -152,7 +148,7 @@ def encode(
 
 def pooler(cls_vector: Tensor, params: dict[str, Tensor]) -> Tensor:
     """tanh(cls . W + b), the sentence-level vector."""
-    return ad.tanh(_linear(cls_vector, params["pooler.W"], params["pooler.b"]))
+    return ad.tanh(ad.add(ad.matmul(cls_vector, params["pooler.W"]), params["pooler.b"]))
 
 
 def pool_label_vectors(label_output: EncoderOutput, spans: list[tuple[int, int]]) -> Tensor:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from itertools import zip_longest
 
@@ -10,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import SEP, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence, tokenize
+from .data import SEP, UNK, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence, tokenize
 from .encoder import (
     EncoderConfig,
     ParamSpec,
@@ -28,16 +29,16 @@ CHECKPOINT_MAGIC = b"IDEACKP1"
 class IdeaModel:
     """Bundles the shared encoder, head and classifier parameters.
 
-    The label sequence is fixed at construction; every forward pass
-    encodes it once and broadcasts across the batch.
+    The vocabulary and the label sequence it encodes are fixed at
+    construction; every forward pass encodes that sequence once and
+    broadcasts it across the batch.
     """
 
     def __init__(
         self,
         encoder_config: EncoderConfig,
         label_names: list[str],
-        label_ids: list[int],
-        label_spans: list[tuple[int, int]],
+        vocab: Vocab,
         ablation: AblationConfig = AblationConfig("full"),
         gamma_mode: str = hd.GAMMA_MODE,
         dtype=np.float32,
@@ -52,23 +53,19 @@ class IdeaModel:
         for i, name in enumerate(self.label_names):  # each name needs a span in the label sequence
             if not (isinstance(name, str) and tokenize(name)):
                 raise ValueError(f"label name {i} must be a string with at least one token, got {name!r}")
-        if not all(_is_int(i) for i in label_ids):
-            raise ValueError(f"label ids must be integers, got {list(label_ids)}")
+        if len(vocab) != encoder_config.vocab_size:
+            raise ValueError(f"vocab has {len(vocab)} tokens but vocab_size is {encoder_config.vocab_size}")
+        self.vocab = vocab
+        labels = LabelSet(self.label_names)
+        label_ids, self.label_spans = encode_label_sequence(labels, vocab)
+        if UNK in label_ids:  # a label name's token, or the "," between names, is not in the vocab
+            missing = {",", *(t for toks in labels.name_tokens() for t in toks)} - vocab.token_to_id.keys()
+            raise ValueError(f"vocab lacks the label tokens {sorted(missing)}")
         self.label_ids = np.asarray(label_ids, dtype=np.int64)
-        self.label_spans = [tuple(s) for s in label_spans]
         self.ablation = ablation
         self.gamma_mode = gamma_mode
         self.dtype = np.dtype(dtype)
         self.n_classes = len(label_names)
-        if ((self.label_ids < 0) | (self.label_ids >= encoder_config.vocab_size)).any():
-            raise ValueError(f"label ids outside [0, {encoder_config.vocab_size})")
-        if len(self.label_spans) != self.n_classes:
-            raise ValueError(f"{len(self.label_spans)} label spans for {self.n_classes} label names")
-        for span in self.label_spans:  # the rule pool_label_vectors applies
-            if len(span) != 2 or not all(_is_int(i) for i in span):
-                raise ValueError(f"label span {span} is not a pair of integers")
-            if not 0 <= span[0] < span[1] <= len(self.label_ids):
-                raise ValueError(f"label span {span} is empty or outside the {len(self.label_ids)} label ids")
         if params is None:
             params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
         self.params = params
@@ -82,8 +79,7 @@ class IdeaModel:
 
     @classmethod
     def build(cls, encoder_config, labels: LabelSet, vocab: Vocab, **kwargs) -> "IdeaModel":
-        label_ids, spans = encode_label_sequence(labels, vocab)
-        return cls(encoder_config, labels.names, label_ids, spans, **kwargs)
+        return cls(encoder_config, labels.names, vocab, **kwargs)
 
     def attention_params(self) -> AttentionParams:
         return AttentionParams(*(self.params["attn." + name] for name in ("W_m", "b_m", "W_t", "b_t")))
@@ -148,8 +144,7 @@ class IdeaModel:
             "ablation": self.ablation.mode,
             "gamma_mode": self.gamma_mode,
             "label_names": self.label_names,
-            "label_ids": [int(i) for i in self.label_ids],
-            "label_spans": [list(s) for s in self.label_spans],
+            "vocab": self.vocab.id_to_token,
             "params": [
                 {"name": name, "shape": list(p.data.shape)} for name, p in self.params.items()
             ],
@@ -171,16 +166,15 @@ class IdeaModel:
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint")
             size = int.from_bytes(fh.read(8), "little")
-            blob = fh.read(size)
-            if len(blob) < size:
+            if size > os.fstat(fh.fileno()).st_size - fh.tell():  # also before a damaged size is allocated
                 raise ValueError(f"{path}: truncated checkpoint header")
+            blob = fh.read(size)
             try:
                 header = json.loads(blob.decode("utf-8"))
                 model = cls(
                     EncoderConfig(**header["encoder"]),
                     header["label_names"],
-                    header["label_ids"],
-                    [tuple(s) for s in header["label_spans"]],
+                    Vocab.from_list(header["vocab"]),
                     ablation=AblationConfig(header["ablation"]),
                     gamma_mode=header["gamma_mode"],
                     dtype=dtype,
@@ -212,10 +206,6 @@ class IdeaModel:
     def load_param_data(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in snapshot.items():
             self.params[name].data[...] = arr
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_param_list(listed, specs: list[ParamSpec]) -> None:

@@ -65,11 +65,13 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainConfig.{name} must be positive")
-        if self.lambda_l2 < 0:
-            raise ValueError("TrainConfig.lambda_l2 must be >= 0")
+        # NaN fails every comparison; a NaN or inf rate would end training at its first step
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"TrainConfig.learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.batch_size <= 0:
+            raise ValueError("TrainConfig.batch_size must be positive")
+        if not 0 <= self.lambda_l2 < math.inf:
+            raise ValueError(f"TrainConfig.lambda_l2 must be >= 0 and finite, got {self.lambda_l2}")
         if self.epochs < 1:
             raise ValueError("TrainConfig.epochs must be >= 1")
         if self.max_len > self.max_positions - 2:  # [CLS] and [SEP] take two positions
@@ -186,16 +188,12 @@ class AdamW:
             p.data -= self.lr * update
 
 
-def global_grad_norm(params: dict[str, Tensor]) -> float:
-    total = 0.0
+def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
+    """Scale all gradients so their global norm is at most max_norm; return the norm before clipping."""
+    total = 0.0  # a loop, not sum(): since Python 3.12 sum() compensates float rounding
     for p in params.values():
         total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return math.sqrt(total)
-
-
-def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
-    norm = global_grad_norm(params)
+    norm = math.sqrt(total)
     if max_norm and norm > max_norm:
         factor = max_norm / norm
         for p in params.values():

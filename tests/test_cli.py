@@ -1,14 +1,19 @@
+import copy
 import errno
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idea
 from idea.cli import _FIELD_NAMES, DATASETS, build_parser, gradcheck_setup, main
@@ -274,29 +279,31 @@ def with_params(header: dict, params: list) -> dict:
     return {**header, "params": params}
 
 
+def with_vocab(header: dict, edit) -> dict:
+    return {**header, "vocab": edit(list(header["vocab"]))}
+
+
 HEADER_DAMAGE = {
-    "no-label-spans": lambda h: {k: v for k, v in h.items() if k != "label_spans"},
+    "no-vocab": lambda h: {k: v for k, v in h.items() if k != "vocab"},
     "renamed": lambda h: with_params(h, h["params"][:-1] + [{**h["params"][-1], "name": "clf.bias"}]),
     "swapped": lambda h: with_params(h, [h["params"][1], h["params"][0]] + h["params"][2:]),
     "string-shape": lambda h: with_params(h, [{**h["params"][0], "shape": ["64", 5]}] + h["params"][1:]),
     "missing-param": lambda h: with_params(h, h["params"][:-1]),
     "extra-param": lambda h: with_params(h, h["params"] + [h["params"][-1]]),
-    "label-id": lambda h: {**h, "label_ids": h["label_ids"][:-1] + [10**6]},
-    "span-count": lambda h: {**h, "label_spans": h["label_spans"][:-1]},
-    "span-order": lambda h: {**h, "label_spans": [s[::-1] for s in h["label_spans"]]},
-    "float-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], h["label_ids"][1] + 0.9, *h["label_ids"][2:]]},
-    "bool-label-id": lambda h: {**h, "label_ids": [h["label_ids"][0], True, *h["label_ids"][2:]]},
+    "vocab-duplicate": lambda h: with_vocab(h, lambda v: v[:-1] + [v[4]]),
+    "vocab-no-specials": lambda h: with_vocab(h, lambda v: v[4:] + v[:4]),
+    "vocab-non-string": lambda h: with_vocab(h, lambda v: v[:5] + [5] + v[6:]),
+    "vocab-length": lambda h: with_vocab(h, lambda v: v[:-1]),
+    "vocab-no-label-token": lambda h: with_vocab(h, lambda v: ["sports" if t == "sport" else t for t in v]),
     "zero-heads": lambda h: {**h, "encoder": {**h["encoder"], "n_heads": 0}},
     "string-eps": lambda h: {**h, "encoder": {**h["encoder"], "layer_norm_eps": "x"}},
     "bool-d": lambda h: {**h, "encoder": {**h["encoder"], "d": True}},
     "float-layers": lambda h: {**h, "encoder": {**h["encoder"], "n_layers": 2.0}},
     "empty-label-name": lambda h: {**h, "label_names": ["", *h["label_names"][1:]]},
-    "float-span-end": lambda h: {**h, "label_spans": [[h["label_spans"][0][0], float(h["label_spans"][0][1])],
-                                                      *h["label_spans"][1:]]},
 }
 
 
-@pytest.mark.parametrize("damage", ["cut", "pad", "no-label-spans", "renamed", "swapped"])
+@pytest.mark.parametrize("damage", ["cut", "pad", "no-vocab", "renamed", "swapped"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)
     ckpt = os.path.join(model_dir, "model.ckpt")
@@ -325,6 +332,74 @@ def test_eval_bad_header_exits_1_before_reading_the_csv(trained_dir, tmp_path, c
     assert f"idea: error: {ckpt}: " in err and "/no/such.csv" not in err
 
 
+# one value of each JSON type; a field is replaced only by a value of another type
+FUZZ_VALUES = [None, True, 0, -1, 3, 1.5, "", "x", [], [0], {}, {"x": 0}]
+
+
+def header_fields(header: dict) -> list[tuple]:
+    """Paths to each top-level value, encoder field and entry of vocab, label_names and params."""
+    return ([(key,) for key in header] + [("encoder", key) for key in header["encoder"]]
+            + [(key, i) for key in ("vocab", "label_names", "params") for i in range(len(header[key]))])
+
+
+def get_field(header: dict, path: tuple):
+    for key in path:
+        header = header[key]
+    return header
+
+
+def set_field(header: dict, path: tuple, value) -> dict:
+    header = copy.deepcopy(header)
+    get_field(header, path[:-1])[path[-1]] = value
+    return header
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(cli_corpus, trained_dir, tmp_path_factory):
+    """A model directory to damage, a 12-row CSV, and the checkpoint's bytes, header and section ends."""
+    root = tmp_path_factory.mktemp("fuzz")
+    model_dir = copy_model_dir(trained_dir, root)
+    csv_path = str(root / "test.csv")
+    with open(cli_corpus["test"], encoding="utf-8") as src, open(csv_path, "w", encoding="utf-8") as dst:
+        dst.writelines(src.readlines()[:12])
+    ckpt = os.path.join(model_dir, "model.ckpt")
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    size = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + size])
+    ends = [8, 16, 16 + size]  # magic, header size, header, then each parameter
+    for entry in header["params"][:-1]:
+        ends.append(ends[-1] + 4 * int(np.prod(entry["shape"])))
+    assert ends[-1] + 4 * int(np.prod(header["params"][-1]["shape"])) == len(data)
+    return SimpleNamespace(model_dir=model_dir, ckpt=ckpt, csv=csv_path, data=data, header=header, ends=ends)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_damaged_checkpoint_exits_0_or_1_naming_it(fuzz_target, data):
+    t = fuzz_target
+    kind = data.draw(st.sampled_from(["field", "cut", "flip"]))
+    if kind == "field":
+        path, value = data.draw(st.sampled_from([(p, v) for p in header_fields(t.header) for v in FUZZ_VALUES
+                                                 if type(v) is not type(get_field(t.header, p))]))
+        damaged = with_header(t.data, lambda h: set_field(h, path, value))
+    elif kind == "cut":
+        damaged = t.data[:data.draw(st.sampled_from([0, *t.ends]))]
+    else:
+        start, stop = data.draw(st.sampled_from([(0, 16), (16, t.ends[2]), (t.ends[2], len(t.data))]))
+        pos = data.draw(st.integers(start, stop - 1))  # in magic and size, the JSON header, or the body
+        damaged = bytearray(t.data)
+        damaged[pos] ^= data.draw(st.integers(1, 255))
+    with open(t.ckpt, "wb") as fh:
+        fh.write(damaged)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["eval", "--model-dir", t.model_dir, "--test-csv", t.csv])
+    # a damaged value may still be a valid one (say, layer_norm_eps = 3): then eval runs
+    assert code in ((1,) if kind == "cut" else (0, 1)), err.getvalue()
+    assert code == 0 or t.ckpt in err.getvalue(), err.getvalue()
+
+
 def test_eval_max_len_beyond_checkpoint_exits_1(trained_dir, capsys):
     # the CSV does not exist: the check must fire before any data is read
     code, _, err = run_cli(
@@ -335,33 +410,48 @@ def test_eval_max_len_beyond_checkpoint_exits_1(trained_dir, capsys):
     assert "--max-len 511" in err and "max_positions - 2 = 510" in err
 
 
-def test_eval_vocab_checkpoint_mismatch_exits_1(trained_dir, tmp_path, capsys):
-    model_dir = copy_model_dir(trained_dir, tmp_path)
-    vocab_path = os.path.join(model_dir, "vocab.txt")
-    with open(vocab_path, "a", encoding="utf-8") as fh:
-        fh.write("extra\n")
-    code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
-    assert code == 1
-    assert vocab_path in err and os.path.join(model_dir, "model.ckpt") in err
-
-
+@pytest.mark.parametrize("vocab_txt", ["permuted", "deleted"])
 @pytest.mark.parametrize("command", ["eval", "export-features"])
-def test_vocab_with_swapped_label_tokens_exits_1(trained_dir, tmp_path, capsys, command):
-    # same size as the checkpoint's vocabulary, but two label tokens trade ids
+def test_output_ignores_vocab_txt(cli_corpus, trained_dir, tmp_path, capsys, command, vocab_txt):
+    # the checkpoint's header holds the vocabulary; vocab.txt is only a readable copy
+    tsv = str(tmp_path / "features.tsv")
+    args = ["--test-csv", cli_corpus["test"]] if command == "eval" else ["--csv", cli_corpus["test"], "--out", tsv]
+
+    def output(model_dir):
+        code, stdout, err = run_cli(capsys, command, "--model-dir", model_dir, *args)
+        assert code == 0, err
+        return stdout if command == "eval" else stdout + open(tsv, encoding="utf-8").read()
+
+    want = output(trained_dir)
     model_dir = copy_model_dir(trained_dir, tmp_path)
     vocab_path = os.path.join(model_dir, "vocab.txt")
-    with open(vocab_path, encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    i, j = tokens.index("sport"), tokens.index("finance")
-    tokens[i], tokens[j] = tokens[j], tokens[i]
-    with open(vocab_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(tokens))
-    args = ["--test-csv", "/no/such.csv"] if command == "eval" else [
-        "--csv", "/no/such.csv", "--out", str(tmp_path / "features.tsv")]
-    code, _, err = run_cli(capsys, command, "--model-dir", model_dir, *args)
+    if vocab_txt == "deleted":
+        os.remove(vocab_path)
+    else:  # reverse every token but the specials, the label tokens and ","
+        with open(vocab_path, encoding="utf-8") as fh:
+            tokens = fh.read().split("\n")
+        fixed = {"[PAD]", "[UNK]", "[CLS]", "[SEP]", "sport", "finance", "science", ",", ""}
+        slots = [i for i, t in enumerate(tokens) if t not in fixed]
+        for i, t in zip(slots, reversed([tokens[i] for i in slots])):
+            tokens[i] = t
+        with open(vocab_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(tokens))
+    assert output(model_dir) == want
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, key, field", [("--lr", "lr", "learning_rate"), ("--lambda", "lambda_l2", "lambda_l2")],
+                         ids=["lr", "lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_rate_exits_1_before_reading_the_csv(tmp_path, capsys, source, flag, key, field, value):
+    args = ["--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv", "--labels", "a,b"]
+    if source == "flag":
+        args += [flag, value]
+    else:  # JSON's NaN and Infinity
+        args += ["--config", write_config(tmp_path, f'{{"{key}": {"NaN" if value == "nan" else "Infinity"}}}')]
+    code, _, err = run_cli(capsys, "train", *args)
     assert code == 1
-    assert vocab_path in err and os.path.join(model_dir, "model.ckpt") in err
-    assert "/no/such.csv" not in err and not os.path.exists(tmp_path / "features.tsv")
+    assert f"TrainConfig.{field} " in err and "/no/such.csv" not in err
 
 
 def test_train_max_len_beyond_positions_exits_1(capsys):

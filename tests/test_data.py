@@ -172,6 +172,27 @@ def test_vocab_load_rejects_missing_header(tmp_path):
         Vocab.load(path)
 
 
+@pytest.mark.parametrize("tokens, match", [
+    (["[PAD]", "[UNK]", "[CLS]", "[SEP]", "x", "y", "x"], "vocabulary token 6 'x' repeats token 4"),
+    (["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[PAD]"], "vocabulary token 4 '\\[PAD\\]' repeats token 0"),
+    (["[UNK]", "[PAD]", "[CLS]", "[SEP]", "x"], "must be a list that starts with"),
+    (["[PAD]", "[UNK]", "[CLS]"], "must be a list that starts with"),
+    (["[PAD]", "[UNK]", "[CLS]", "[SEP]", "x", None], "vocabulary token 5 is not a string: None"),
+    (("[PAD]", "[UNK]", "[CLS]", "[SEP]"), "must be a list"),
+], ids=["duplicate", "duplicate-special", "specials-out-of-order", "specials-missing", "non-string", "tuple"])
+def test_vocab_from_list_rejects(tokens, match):
+    with pytest.raises(ValueError, match=match):
+        Vocab.from_list(tokens)
+
+
+def test_vocab_load_rejects_a_duplicate_token(tmp_path):
+    # read loosely, the repeated "x" would map to id 6 and leave id 4 unreachable
+    path = tmp_path / "vocab.txt"
+    path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\ny\nx\n")
+    with pytest.raises(ValueError, match=f"{path}: vocabulary token 6 'x' repeats token 4"):
+        Vocab.load(path)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 

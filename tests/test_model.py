@@ -185,6 +185,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert loaded.label_names == model.label_names
     assert loaded.ablation == model.ablation
     assert loaded.gamma_mode == model.gamma_mode
+    assert loaded.vocab == model.vocab
     np.testing.assert_array_equal(loaded.label_ids, model.label_ids)
     assert loaded.label_spans == model.label_spans
     for name, p in model.params.items():
@@ -228,10 +229,20 @@ def with_params(header: dict, params: list) -> dict:
     return {**header, "params": params}
 
 
+def with_vocab(header: dict, edit) -> dict:
+    return {**header, "vocab": edit(list(header["vocab"]))}
+
+
+def replaced(tokens: list, old: str, new) -> list:
+    return [new if t == old else t for t in tokens]
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda h: b'{"encoder": ', "bad checkpoint header: Expecting value"),
     (lambda h: b'"\xff"', "bad checkpoint header: 'utf-8' codec"),
-    (lambda h: {k: v for k, v in h.items() if k != "label_spans"}, "lacks key 'label_spans'"),
+    # the format before the vocabulary moved into the header
+    (lambda h: {**{k: v for k, v in h.items() if k != "vocab"}, "label_ids": [2, 13, 16, 14, 16, 15, 3],
+                "label_spans": [[1, 2], [3, 4], [5, 6]]}, "lacks key 'vocab'"),
     (lambda h: {**h, "gamma_mode": "per-batch-literal"}, "unknown gamma mode 'per-batch-literal'"),
     (lambda h: {**h, "encoder": {**h["encoder"], "backend": "bag-of-embeddings"}},
      "unknown encoder backend 'bag-of-embeddings'"),
@@ -244,11 +255,16 @@ def with_params(header: dict, params: list) -> dict:
     (lambda h: with_params(h, h["params"][:-1]), "params entry 41 is missing"),
     (lambda h: with_params(h, h["params"] + [{"name": "clf.c", "shape": [3]}]),
      "params entry 42 is {'name': 'clf.c', 'shape': \\[3\\]}; .* has no such entry"),
-    (lambda h: {**h, "label_ids": [2, 17, 3]}, "label ids outside \\[0, 17\\)"),
-    (lambda h: {**h, "label_spans": h["label_spans"][:2]}, "2 label spans for 3 label names"),
-    (lambda h: {**h, "label_spans": [[1, 2], [3, 4], [6, 5]]}, "label span \\(6, 5\\) is empty"),
+    (lambda h: with_vocab(h, lambda v: v[:-1] + [v[4]]), "vocabulary token 16 'atom' repeats token 4"),
+    (lambda h: with_vocab(h, lambda v: v[1:] + v[:1]), "vocabulary must be a list that starts with"),
+    (lambda h: with_vocab(h, lambda v: " ".join(v)), "vocabulary must be a list that starts with"),
+    (lambda h: with_vocab(h, lambda v: replaced(v, "ball", 7)), "vocabulary token 5 is not a string: 7"),
+    (lambda h: with_vocab(h, lambda v: v + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
+    (lambda h: with_vocab(h, lambda v: replaced(v, "finance", "finances")),
+     "vocab lacks the label tokens \\['finance'\\]"),
 ], ids=["not-json", "not-utf8", "missing-key", "gamma-mode", "backend", "renamed", "string-shape",
-        "swapped", "missing-param", "extra-param", "label-id", "span-count", "span-order"])
+        "swapped", "missing-param", "extra-param", "vocab-duplicate", "vocab-no-specials", "vocab-string",
+        "vocab-non-string", "vocab-length", "vocab-no-label-token"])
 def test_checkpoint_rejects_bad_header(tmp_path, edit, match):
     model, _ = build_model(dtype=np.float32)
     path = tmp_path / "model.ckpt"
@@ -331,30 +347,28 @@ def test_parameter_table_reproduces_the_old_init(dtype, classifier_init, ablatio
         (name, arr.shape) for name, arr in old.items()]
 
 
-@pytest.mark.parametrize("field, value, match", [
-    ("label_ids", [2, 17, 3], "label ids outside \\[0, 17\\)"),
-    ("label_ids", [-1, 4, 3], "label ids outside \\[0, 17\\)"),
-    ("label_ids", [2, 5.9, 3], "label ids must be integers"),
-    ("label_ids", [2, 5.0, 3], "label ids must be integers"),
-    ("label_ids", [2, True, 3], "label ids must be integers"),
-    ("label_ids", [2, "5", 3], "label ids must be integers"),
-    ("label_spans", [(1, 2), (3, 4)], "2 label spans for 3 label names"),
-    ("label_spans", [(1, 2), (3, 4), (5, 6), (5, 6)], "4 label spans for 3 label names"),
-    ("label_spans", [(1, 2), (3, 3), (5, 6)], "label span \\(3, 3\\) is empty"),
-    ("label_spans", [(1, 2), (3, 4), (5, 8)], "label span \\(5, 8\\) is empty or outside the 7"),
-    ("label_spans", [(-1, 2), (3, 4), (5, 6)], "label span \\(-1, 2\\)"),
-    ("label_spans", [(1, 2, 3), (3, 4), (5, 6)], "label span \\(1, 2, 3\\)"),
-    ("label_spans", [(1, 2.0), (3, 4), (5, 6)], "label span \\(1, 2.0\\) is not a pair of integers"),
-    ("label_spans", [(1, 2), (True, 4), (5, 6)], "label span \\(True, 4\\) is not a pair of integers"),
-    ("label_names", ["sport", "", "science"], "label name 1 must be a string with at least one token, got ''"),
-    ("label_names", ["sport", "finance", " \t"], "label name 2 must be a string"),
-    ("label_names", [7, "finance", "science"], "label name 0 must be a string"),
-], ids=["id-too-big", "id-negative", "id-float", "id-whole-float", "id-bool", "id-string", "too-few-spans",
-        "too-many-spans", "empty-span", "span-past-end", "negative-start", "three-ends", "float-end",
-        "bool-start", "empty-name", "blank-name", "int-name"])
-def test_model_rejects_bad_label_fields(field, value, match):
-    model, _ = build_model()
-    fields = {"label_names": model.label_names, "label_ids": model.label_ids, "label_spans": model.label_spans,
-              field: value}
+@pytest.mark.parametrize("field, edit, match", [
+    ("label_names", lambda v: ["sport", "", "science"],
+     "label name 1 must be a string with at least one token, got ''"),
+    ("label_names", lambda v: ["sport", "finance", " \t"], "label name 2 must be a string"),
+    ("label_names", lambda v: [7, "finance", "science"], "label name 0 must be a string"),
+    ("vocab", lambda v: Vocab.from_list(v.id_to_token + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
+    ("vocab", lambda v: Vocab.from_list(v.id_to_token[:-2] + ["extra", "more"]),
+     "vocab lacks the label tokens \\[',', 'science'\\]"),
+    ("vocab", lambda v: Vocab.from_list(replaced(v.id_to_token, ",", ";")), "vocab lacks the label tokens \\[','\\]"),
+], ids=["empty-name", "blank-name", "int-name", "vocab-too-long", "vocab-lacks-name-token", "vocab-lacks-comma"])
+def test_model_rejects_bad_label_fields(field, edit, match):
+    model, vocab = build_model()
+    fields = {"label_names": model.label_names, "vocab": vocab}
+    fields[field] = edit(vocab)
     with pytest.raises(ValueError, match=match):
-        IdeaModel(model.encoder_config, fields["label_names"], fields["label_ids"], fields["label_spans"])
+        IdeaModel(model.encoder_config, fields["label_names"], fields["vocab"])
+
+
+def test_model_derives_label_ids_and_spans_from_its_vocab():
+    model, vocab = build_model()
+    ids = vocab.token_to_id
+    assert model.vocab is vocab
+    assert model.label_ids.dtype == np.int64
+    assert model.label_ids.tolist() == [2, ids["sport"], ids[","], ids["finance"], ids[","], ids["science"], 3]
+    assert model.label_spans == [(1, 2), (3, 4), (5, 6)]
