@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import asdict
 from itertools import zip_longest
 
@@ -31,7 +32,9 @@ class IdeaModel:
 
     The vocabulary and the label sequence it encodes are fixed at
     construction; every forward pass encodes that sequence once and
-    broadcasts it across the batch.
+    broadcasts it across the batch. A frozen model (from load or frozen())
+    only infers: its parameter arrays are read-only and need no gradient, so
+    a forward records no tape, and it encodes the label sequence only once.
     """
 
     def __init__(
@@ -69,6 +72,8 @@ class IdeaModel:
         if params is None:
             params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
         self.params = params
+        self.is_frozen = False
+        self._labels: tuple[Tensor, Tensor] | None = None  # a frozen model's label encoding
 
     def param_specs(self, classifier_init: str = "zeros") -> list[ParamSpec]:
         """Every parameter's (name, shape, initializer), in checkpoint order."""
@@ -104,12 +109,12 @@ class IdeaModel:
         k_batch = ids.shape[0]
         d = self.encoder_config.d
 
+        if training and self.is_frozen:
+            raise ValueError("a frozen model cannot run a training forward; train a trainable model")
         enc = encode(ids, mask, self.encoder_config, self.params, training, rng)
-        lab = encode_labels_once(self.label_ids, self.encoder_config, self.params, training, rng)
-        label_vecs = ad.broadcast_to(
-            pool_label_vectors(lab, self.label_spans), (k_batch, self.n_classes, d)
-        )
-        m_global = ad.broadcast_to(lab.pooled, (k_batch, d))
+        lab_pooled, lab_vecs = self._labels or self._encode_labels(training, rng)
+        label_vecs = ad.broadcast_to(lab_vecs, (k_batch, self.n_classes, d))
+        m_global = ad.broadcast_to(lab_pooled, (k_batch, d))
 
         # query vectors: token positions only (drop CLS, mask out SEP and PAD)
         text_tokens = ad.slice_axis(enc.tokens, 1, 1, ids.shape[1])
@@ -125,6 +130,26 @@ class IdeaModel:
         logits = hd.classify(z, self.params["clf.W"], self.params["clf.b"])
         return logits, IdeaFeatures(alpha, beta, c, s, p, d_feat, gamma, z)
 
+    def _encode_labels(self, training: bool, rng) -> tuple[Tensor, Tensor]:
+        """The label sequence's pooled vector and per-label vectors; a frozen model keeps them."""
+        lab = encode_labels_once(self.label_ids, self.encoder_config, self.params, training, rng)
+        labels = lab.pooled, pool_label_vectors(lab, self.label_spans)
+        if self.is_frozen:  # read-only parameters keep the encoding valid
+            self._labels = labels
+        return labels
+
+    def frozen(self) -> "IdeaModel":
+        """An inference copy with read-only parameter copies; self if already frozen."""
+        if self.is_frozen:
+            return self
+        model = type(self)(
+            self.encoder_config, self.label_names, self.vocab, ablation=self.ablation,
+            gamma_mode=self.gamma_mode, dtype=self.dtype,
+            params={name: _read_only(p.data.copy()) for name, p in self.params.items()},
+        )
+        model.is_frozen = True
+        return model
+
     def loss(
         self,
         batch: Batch,
@@ -138,11 +163,16 @@ class IdeaModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Named parameters as raw little-endian float32, after a JSON header."""
+        """Named parameters as raw little-endian float32, after a JSON header with their CRC-32."""
+        body = [np.ascontiguousarray(p.data, dtype="<f4") for p in self.params.values()]
+        crc = 0
+        for arr in body:
+            crc = zlib.crc32(arr, crc)
         header = {
             "encoder": asdict(self.encoder_config),
             "ablation": self.ablation.mode,
             "gamma_mode": self.gamma_mode,
+            "crc32": crc,
             "label_names": self.label_names,
             "vocab": self.vocab.id_to_token,
             "params": [
@@ -154,12 +184,12 @@ class IdeaModel:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
-            for p in self.params.values():
-                fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            for arr in body:
+                fh.write(arr)
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "IdeaModel":
-        """Read a checkpoint written by save; any damage raises a ValueError naming the file."""
+        """A frozen model from a checkpoint written by save; any damage raises a ValueError naming the file."""
         params: dict[str, Tensor] = {}
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -182,10 +212,12 @@ class IdeaModel:
                 )
                 specs = model.param_specs()
                 _check_param_list(header["params"], specs)
+                want_crc = header["crc32"]
             except KeyError as exc:
                 raise ValueError(f"{path}: checkpoint header lacks key {exc}") from None
             except (TypeError, ValueError) as exc:  # also bad UTF-8 or JSON, a rejected value
                 raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
+            crc = 0
             for name, shape, _ in specs:
                 n = int(np.prod(shape))
                 buf = fh.read(4 * n)
@@ -194,10 +226,14 @@ class IdeaModel:
                         f"{path}: truncated checkpoint: parameter {name} needs "
                         f"{4 * n} bytes, found {len(buf)}"
                     )
-                arr = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(dtype)
-                params[name] = Tensor(arr, requires_grad=True)
+                crc = zlib.crc32(buf, crc)
+                params[name] = _read_only(np.frombuffer(buf, dtype="<f4").reshape(shape).astype(dtype))
             if fh.read(1):
                 raise ValueError(f"{path}: trailing bytes after the last parameter")
+        if crc != want_crc:
+            raise ValueError(f"{path}: damaged checkpoint: parameter bytes have CRC-32 {crc}, "
+                             f"the header records {want_crc!r}")
+        model.is_frozen = True
         return model
 
     def copy_param_data(self) -> dict[str, np.ndarray]:
@@ -206,6 +242,12 @@ class IdeaModel:
     def load_param_data(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in snapshot.items():
             self.params[name].data[...] = arr
+
+
+def _read_only(arr: np.ndarray) -> Tensor:
+    """A parameter that needs no gradient and raises on an in-place write."""
+    arr.setflags(write=False)
+    return Tensor(arr)
 
 
 def _check_param_list(listed, specs: list[ParamSpec]) -> None:

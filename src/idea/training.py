@@ -314,7 +314,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
             if config.max_steps is not None and step >= config.max_steps:
                 stop = True
                 break
-        metrics = evaluate(model, val_batches)
+        metrics = evaluate(model.frozen(), val_batches)
         val_metrics.append(metrics)
         epoch_seconds.append(time.perf_counter() - t0)
         if best is None or metrics.accuracy > best[0]:
@@ -328,7 +328,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
             break
 
     model.load_param_data(best_snapshot)
-    test_metrics = evaluate(model, test_batches)
+    test_metrics = evaluate(model.frozen(), test_batches)
     result = RunResult(
         seed=config.seed,
         val_metrics=val_metrics,

@@ -285,6 +285,7 @@ def with_vocab(header: dict, edit) -> dict:
 
 HEADER_DAMAGE = {
     "no-vocab": lambda h: {k: v for k, v in h.items() if k != "vocab"},
+    "no-crc32": lambda h: {k: v for k, v in h.items() if k != "crc32"},
     "renamed": lambda h: with_params(h, h["params"][:-1] + [{**h["params"][-1], "name": "clf.bias"}]),
     "swapped": lambda h: with_params(h, [h["params"][1], h["params"][0]] + h["params"][2:]),
     "string-shape": lambda h: with_params(h, [{**h["params"][0], "shape": ["64", 5]}] + h["params"][1:]),
@@ -303,17 +304,20 @@ HEADER_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", ["cut", "pad", "no-vocab", "renamed", "swapped"])
+@pytest.mark.parametrize("damage", ["cut", "pad", "body-flip", "no-vocab", "renamed", "swapped"])
 def test_eval_damaged_checkpoint_exits_1(cli_corpus, trained_dir, tmp_path, capsys, damage):
     model_dir = copy_model_dir(trained_dir, tmp_path)
     ckpt = os.path.join(model_dir, "model.ckpt")
     with open(ckpt, "rb") as fh:
         data = fh.read()
+    if damage == "body-flip":  # XOR the exponent of token_emb's first float, which loaded silently before
+        body = 16 + int.from_bytes(data[8:16], "little")
+        data = data[:body + 3] + bytes([data[body + 3] ^ 0x40]) + data[body + 4:]
     with open(ckpt, "wb") as fh:
         if damage in HEADER_DAMAGE:
             fh.write(with_header(data, HEADER_DAMAGE[damage]))
         else:
-            fh.write(data[:-1] if damage == "cut" else data + b"\x00")
+            fh.write({"cut": data[:-1], "pad": data + b"\x00"}.get(damage, data))
     code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", cli_corpus["test"])
     assert code == 1
     assert ckpt in err

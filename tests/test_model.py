@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idea.model
 from idea import autodiff as ad
 from idea.autodiff import Tensor, backward
 from idea.data import Document, LabelSet, Vocab, build_vocab, make_batches
 from idea.encoder import EncoderConfig, encode, pool_label_vectors
-from idea.head import ABLATION_MODES, AblationConfig
+from idea.head import ABLATION_MODES, AblationConfig, IdeaFeatures
 from idea.model import IdeaModel
+from idea.training import AdamW
 
 
 WORDS = ["ball", "game", "stock", "market", "atom", "quark", "blue", "fast", "slow"]
@@ -196,6 +199,95 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def same_bytes(a: Tensor, b: Tensor) -> bool:
+    return a.data.dtype == b.data.dtype and a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_forward_is_bit_identical(rng, dtype):
+    model, vocab = build_model(dtype=dtype, classifier_init="normal")
+    frozen = model.frozen()
+    assert frozen.is_frozen and frozen.frozen() is frozen and not model.is_frozen
+    widths = set()
+    for n_docs, max_tokens in ((5, 8), (3, 2), (7, 20)):  # one kept label encoding serves every width
+        batch = make_batches(sample_docs(rng, n_docs, max_tokens), vocab, batch_size=n_docs)[0]
+        widths.add(batch.token_ids.shape[1])
+        want_logits, want = model.forward(batch.token_ids, batch.pad_mask)
+        got_logits, got = frozen.forward(batch.token_ids, batch.pad_mask)
+        assert same_bytes(got_logits, want_logits)
+        for field in dataclasses.fields(IdeaFeatures):
+            assert same_bytes(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert len(widths) == 3
+    # the trainable model keeps its own writable parameters
+    for name, p in model.params.items():
+        assert p.requires_grad and p.data.flags.writeable and p.data is not frozen.params[name].data
+
+
+def test_loaded_model_records_no_tape_and_encodes_labels_once(tmp_path, rng, monkeypatch):
+    model, vocab = build_model(dtype=np.float32, classifier_init="normal")
+    model.save(tmp_path / "model.ckpt")
+    loaded = IdeaModel.load(tmp_path / "model.ckpt")
+    assert loaded.is_frozen
+    assert all(not p.requires_grad and not p.data.flags.writeable for p in loaded.params.values())
+    calls = []
+    encode_labels_once = idea.model.encode_labels_once
+    monkeypatch.setattr(idea.model, "encode_labels_once",
+                        lambda *args, **kwargs: calls.append(1) or encode_labels_once(*args, **kwargs))
+    for n_docs in range(1, 6):
+        batch = make_batches(sample_docs(rng, n_docs), vocab, batch_size=n_docs)[0]
+        logits, feats = loaded.forward(batch.token_ids, batch.pad_mask)
+        assert logits.lineage is None and not logits.requires_grad
+        assert all(getattr(feats, field.name).lineage is None for field in dataclasses.fields(IdeaFeatures))
+    assert len(calls) == 1
+    for _ in range(2):  # a trainable model encodes the label names in every forward, on its tape
+        logits, _ = model.forward(batch.token_ids, batch.pad_mask)
+        assert logits.lineage is not None
+    assert len(calls) == 3
+
+
+def adamw_step(model) -> None:
+    opt = AdamW(model.params, lr=0.1)
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+
+
+@pytest.mark.parametrize("write", [
+    lambda m: m.load_param_data({name: np.zeros_like(p.data) for name, p in m.params.items()}),
+    adamw_step,
+    lambda m: m.params["layer1.ffn.W2"].data.__setitem__((0, 0), 1.0),
+], ids=["load_param_data", "adamw_step", "in-place"])
+def test_frozen_model_rejects_in_place_writes(rng, write):
+    model, vocab = build_model(classifier_init="normal")
+    frozen = model.frozen()
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+    before, _ = frozen.forward(batch.token_ids, batch.pad_mask)  # the label encoding is now kept
+    with pytest.raises(ValueError, match="read-only"):
+        write(frozen)
+    after, _ = frozen.forward(batch.token_ids, batch.pad_mask)
+    assert same_bytes(after, before)
+    assert same_bytes(after, model.forward(batch.token_ids, batch.pad_mask)[0])
+
+
+def test_frozen_model_rejects_a_training_forward(rng):
+    model, vocab = build_model()
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+    with pytest.raises(ValueError, match="frozen model"):
+        model.frozen().forward(batch.token_ids, batch.pad_mask, training=True, rng=np.random.default_rng(0))
+
+
+def test_checkpoint_rejects_a_damaged_body(tmp_path):
+    model, _ = build_model(dtype=np.float32, classifier_init="normal")
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    data = bytearray(path.read_bytes())
+    data[16 + int.from_bytes(data[8:16], "little") + 3] ^= 0x40  # the exponent of token_emb's first float
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="damaged checkpoint: parameter bytes have CRC-32") as err:
+        IdeaModel.load(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -243,6 +335,7 @@ def replaced(tokens: list, old: str, new) -> list:
     # the format before the vocabulary moved into the header
     (lambda h: {**{k: v for k, v in h.items() if k != "vocab"}, "label_ids": [2, 13, 16, 14, 16, 15, 3],
                 "label_spans": [[1, 2], [3, 4], [5, 6]]}, "lacks key 'vocab'"),
+    (lambda h: {k: v for k, v in h.items() if k != "crc32"}, "lacks key 'crc32'"),
     (lambda h: {**h, "gamma_mode": "per-batch-literal"}, "unknown gamma mode 'per-batch-literal'"),
     (lambda h: {**h, "encoder": {**h["encoder"], "backend": "bag-of-embeddings"}},
      "unknown encoder backend 'bag-of-embeddings'"),
@@ -262,7 +355,7 @@ def replaced(tokens: list, old: str, new) -> list:
     (lambda h: with_vocab(h, lambda v: v + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
     (lambda h: with_vocab(h, lambda v: replaced(v, "finance", "finances")),
      "vocab lacks the label tokens \\['finance'\\]"),
-], ids=["not-json", "not-utf8", "missing-key", "gamma-mode", "backend", "renamed", "string-shape",
+], ids=["not-json", "not-utf8", "missing-key", "no-crc32", "gamma-mode", "backend", "renamed", "string-shape",
         "swapped", "missing-param", "extra-param", "vocab-duplicate", "vocab-no-specials", "vocab-string",
         "vocab-non-string", "vocab-length", "vocab-no-label-token"])
 def test_checkpoint_rejects_bad_header(tmp_path, edit, match):

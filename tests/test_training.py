@@ -6,7 +6,7 @@ import pytest
 
 from idea import synthetic
 from idea.autodiff import FREED_MEMORY_KEPT, Tensor, backward
-from idea.data import Document, LabelSet, Vocab, build_vocab, load_csv, make_batches
+from idea.data import Document, LabelSet, build_vocab, load_csv, make_batches
 from idea.encoder import EncoderConfig
 from idea.head import AblationConfig
 from idea.model import IdeaModel
@@ -430,9 +430,8 @@ def test_export_features_roundtrip(synthetic_corpus, tmp_path):
     from idea.model import IdeaModel
 
     model = IdeaModel.load(os.path.join(out, "model.ckpt"))
-    vocab = Vocab.load(os.path.join(out, "vocab.txt"))
     docs = load_csv(synthetic_corpus["test"], model.n_classes)[:40]
-    batches = make_batches(docs, vocab, batch_size=16)
+    batches = make_batches(docs, model.vocab, batch_size=16)
     path = tmp_path / "features.tsv"
     export_features(model, batches, path)
 
