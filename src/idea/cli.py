@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -20,6 +21,7 @@ from .training import (
     TrainConfig,
     evaluate,
     export_features,
+    sample_var,
     train,
     welch_t_test,
 )
@@ -272,8 +274,8 @@ def cmd_ablate(ns) -> int:
         xs = accs[mode]
         n = len(xs)
         mean = sum(xs) / n
-        std = float(np.std(xs, ddof=1)) if n > 1 else 0.0
-        stderr = std / np.sqrt(n) if n > 1 else 0.0
+        std = math.sqrt(sample_var(xs)) if n > 1 else 0.0
+        stderr = std / math.sqrt(n)
         if n > 1:
             res = welch_t_test(xs, accs["full"])
             t_str, p_str = f"{res.t:.4f}", f"{res.p:.4f}"

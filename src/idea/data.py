@@ -210,10 +210,11 @@ def load_csv(path, num_classes: int | None = None) -> list[Document]:
     """Read rows of the form: 1-based class index, then one or more text fields.
 
     Text fields are joined with a single space; class ids are shifted to
-    0-based. Blank lines are skipped.
+    0-based. Blank lines are skipped, and so is a leading UTF-8 byte-order
+    mark (Excel writes one).
     """
     docs: list[Document] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             line = reader.line_num

@@ -34,7 +34,8 @@ class IdeaModel:
     construction; every forward pass encodes that sequence once and
     broadcasts it across the batch. A frozen model (from load or frozen())
     only infers: its parameter arrays are read-only and need no gradient, so
-    a forward records no tape, and it encodes the label sequence only once.
+    a forward records no tape, and it keeps its label sequence's encoding
+    while every parameter is the read-only array it was encoded from.
     """
 
     def __init__(
@@ -73,7 +74,8 @@ class IdeaModel:
             params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
         self.params = params
         self.is_frozen = False
-        self._labels: tuple[Tensor, Tensor] | None = None  # a frozen model's label encoding
+        # a frozen model's label encoding, with the parameter arrays it was computed from
+        self._labels: tuple[tuple[np.ndarray, ...], tuple[Tensor, Tensor]] | None = None
 
     def param_specs(self, classifier_init: str = "zeros") -> list[ParamSpec]:
         """Every parameter's (name, shape, initializer), in checkpoint order."""
@@ -112,7 +114,7 @@ class IdeaModel:
         if training and self.is_frozen:
             raise ValueError("a frozen model cannot run a training forward; train a trainable model")
         enc = encode(ids, mask, self.encoder_config, self.params, training, rng)
-        lab_pooled, lab_vecs = self._labels or self._encode_labels(training, rng)
+        lab_pooled, lab_vecs = self._kept_labels() or self._encode_labels(training, rng)
         label_vecs = ad.broadcast_to(lab_vecs, (k_batch, self.n_classes, d))
         m_global = ad.broadcast_to(lab_pooled, (k_batch, d))
 
@@ -132,11 +134,20 @@ class IdeaModel:
 
     def _encode_labels(self, training: bool, rng) -> tuple[Tensor, Tensor]:
         """The label sequence's pooled vector and per-label vectors; a frozen model keeps them."""
+        arrays = tuple(p.data for p in self.params.values())
         lab = encode_labels_once(self.label_ids, self.encoder_config, self.params, training, rng)
         labels = lab.pooled, pool_label_vectors(lab, self.label_spans)
-        if self.is_frozen:  # read-only parameters keep the encoding valid
-            self._labels = labels
+        if self.is_frozen and not any(a.flags.writeable for a in arrays):
+            self._labels = arrays, labels
         return labels
+
+    def _kept_labels(self) -> tuple[Tensor, Tensor] | None:
+        """The kept label encoding, unless a parameter array was rebound or made writable since."""
+        if self._labels is not None:
+            arrays, labels = self._labels
+            if all(p.data is a and not a.flags.writeable for p, a in zip(self.params.values(), arrays)):
+                return labels
+        return None
 
     def frozen(self) -> "IdeaModel":
         """An inference copy with read-only parameter copies; self if already frozen."""

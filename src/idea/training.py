@@ -369,27 +369,60 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     if na < 2 or nb < 2:
         raise ValueError("welch_t_test: each sample needs n >= 2")
     if a == b:
-        va = _sample_var(a)
+        va = sample_var(a)
         df = 2.0 * (na - 1) if va > 0 else float("nan")
         return WelchResult(t=0.0, p=1.0, df=df)
     ma, mb = sum(a) / na, sum(b) / nb
-    va, vb = _sample_var(a), _sample_var(b)
+    va, vb = sample_var(a), sample_var(b)
     se2 = va / na + vb / nb
     if se2 == 0.0:
         if ma == mb:
             raise ValueError("welch_t_test: zero variance in both samples with equal means")
         return WelchResult(t=math.copysign(math.inf, ma - mb), p=0.0, df=float("nan"))
-    from scipy.special import stdtr  # not at module level: it adds ~250 ms and ~26 MB to every command
-
     t = (ma - mb) / math.sqrt(se2)
     df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * float(stdtr(df, -abs(t)))
-    return WelchResult(t=t, p=p, df=df)
+    return WelchResult(t=t, p=_t_two_sided_p(t, df), df=df)
 
 
-def _sample_var(xs: list[float]) -> float:
+def sample_var(xs: list[float]) -> float:
+    """Unbiased sample variance (n - 1 in the denominator)."""
     m = sum(xs) / len(xs)
     return sum((x - m) ** 2 for x in xs) / (len(xs) - 1)
+
+
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom: I_x(df/2, 1/2), x = df/(df + t^2).
+
+    I_x(a, b) is the regularized incomplete beta function, x^a (1-x)^b / (a B(a, b))
+    times a continued fraction (Press et al., Numerical Recipes, 6.4). The
+    fraction converges fast below x = (a+1)/(a+b+2); above it, I_x(a, b) = 1 - I_{1-x}(b, a).
+    """
+    a, b, r = 0.5 * df, 0.5, t * t / df  # x = 1/(1+r) and 1-x = r/(1+r), neither by a subtraction
+    if r == 0.0:  # t = 0, or t * t underflows
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     - a * math.log1p(r) - b * math.log1p(1.0 / r))
+    x = 1.0 / (1.0 + r)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, r / (1.0 + r)) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """1/(1 + d1/(1 + d2/(1 + ...))), the incomplete beta's continued fraction, by modified Lentz."""
+    tiny = 1e-300  # stands in for a zero denominator
+    f, c, d = 1.0, 1.0, 0.0
+    for m in range(10_000):
+        for coef in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),  # d_{2m+1}
+                     (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):  # d_{2m+2}
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            f *= c * d
+        if abs(c * d - 1.0) < 2.3e-16:  # the last term moved f by at most one ulp
+            return 1.0 / f
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def export_features(model: IdeaModel, batches: list[Batch], path) -> None:

@@ -1,8 +1,10 @@
+import ast
 import copy
 import errno
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -696,10 +698,43 @@ def test_dataset_presets_match_expected_shapes():
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # only welch_t_test needs scipy; importing scipy.special costs every command ~250 ms and ~26 MB
+    # numpy is the only dependency: Welch's t tail is computed in the package, with no scipy
     src = os.path.dirname(os.path.dirname(idea.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, idea.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, idea.cli, idea.training; idea.training.welch_t_test([1, 2, 3], [4, 5, 7]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_top_level_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source, also those inside functions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_top_level_modules_are_found():
+    source = "import os.path, json\nfrom numpy import random\nfrom . import data\nfrom .x import y\n" \
+             "def f():\n    from scipy.special import stdtr\n"
+    assert _imported_top_level_modules(source) == {"os", "json", "numpy", "scipy"}
+
+
+def test_dependencies_are_the_packages_the_source_imports():
+    package = os.path.dirname(idea.__file__)
+    imported = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                imported |= _imported_top_level_modules(fh.read())
+    third_party = imported - set(sys.stdlib_module_names) - {"idea"}
+    assert "numpy" in third_party
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml"), "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in dependencies}

@@ -251,6 +251,12 @@ def test_load_csv_row_parsing(tmp_path):
     assert docs == [Document(text="title desc", label=2)]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b'\xef\xbb\xbf"1","a b"\r\n"2","c"\r\n')  # as Excel writes UTF-8 CSV
+    assert load_csv(path, num_classes=2) == [Document(text="a b", label=0), Document(text="c", label=1)]
+
+
 def test_load_csv_unescapes_doubled_quotes(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text('"1","he said ""hi"" twice"\n')

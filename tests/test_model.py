@@ -269,6 +269,33 @@ def test_frozen_model_rejects_in_place_writes(rng, write):
     assert same_bytes(after, model.forward(batch.token_ids, batch.pad_mask)[0])
 
 
+def test_frozen_model_follows_rebound_and_reopened_parameters(rng):
+    model, vocab = build_model(classifier_init="normal")
+    frozen = model.frozen()
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+
+    def assert_matches_a_trainable_model():
+        # a trainable model given the very same arrays encodes the label names afresh
+        twin = IdeaModel(model.encoder_config, model.label_names, vocab, dtype=model.dtype,
+                         params={name: Tensor(p.data, requires_grad=True) for name, p in frozen.params.items()})
+        want, _ = twin.forward(batch.token_ids, batch.pad_mask)
+        for _ in range(2):  # the first forward may keep an encoding, the second may reuse it
+            got, _ = frozen.forward(batch.token_ids, batch.pad_mask)
+            assert same_bytes(got, want)
+
+    assert_matches_a_trainable_model()  # the label encoding is now kept
+    emb = frozen.params["token_emb"].data * 2.0  # a fresh, writable array
+    frozen.params["token_emb"].data = emb
+    assert_matches_a_trainable_model()
+    emb[:, 0] += 1.0  # written in place
+    assert_matches_a_trainable_model()
+    emb.setflags(write=False)
+    assert_matches_a_trainable_model()  # read-only again, so an encoding is kept
+    emb.setflags(write=True)
+    emb[:, 1] -= 1.0
+    assert_matches_a_trainable_model()
+
+
 def test_frozen_model_rejects_a_training_forward(rng):
     model, vocab = build_model()
     batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]

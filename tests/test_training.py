@@ -17,6 +17,7 @@ from idea.training import (
     RunResult,
     TrainConfig,
     WelchResult,
+    _t_two_sided_p,
     clip_grads,
     evaluate,
     export_features,
@@ -140,6 +141,65 @@ def test_welch_hand_worked_values(a, b, t_ref, df_ref, p_ref):
     assert abs(res.t - t_ref) < 1e-6
     assert abs(res.df - df_ref) < 1e-6
     assert abs(res.p - p_ref) < 1e-9
+
+
+def test_welch_opposite_orders_give_t_zero_and_p_exactly_one():
+    res = welch_t_test([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
+    assert res.t == 0.0 and res.p == 1.0 and res.df == 4.0
+
+
+# 2 * scipy.special.stdtr(df, -|t|) (scipy 1.17.1), recorded when scipy was a dependency;
+# df = 100 at |t| = 1e6 underflows to 0 and is left out. Below |t| = 1e-3 scipy's own
+# error reaches 3e-9 (df = 1, |t| = 1e-8), so the closed forms below cover that range.
+STDTR_T = (0.001, 0.05, 0.5, 1.0, 2.0, 3.5, 10.0, 100.0, 1000.0, 1000000.0)
+STDTR_P = {
+    0.5: [0.9994606476684875, 0.9730659912792584, 0.7573180729294365, 0.6022432216826441, 0.4455148901831313,
+          0.3407853199435796, 0.20267735277133117, 0.0641397140430733, 0.02028290908171419, 0.0006414019508283977],
+    1.0: [0.9993633804398159, 0.968195497487647, 0.7048327646991335, 0.5000000000000001, 0.2951672353008665,
+          0.17717106556580953, 0.06345103486110713, 0.00636598552981651, 0.0006366195601611178, 6.366197723673691e-07],
+    1.5: [0.9993185302267198, 0.9659501374369726, 0.68056711066994, 0.45113536727671033, 0.22418833035605112,
+          0.10822595498965777, 0.023659355113621557, 0.0007541098899248934, 2.3848945646787014e-05,
+          7.541704864026433e-10],
+    2.0: [0.9992928933955901, 0.9646667373331214, 0.6666666666666667, 0.4226497308103742, 0.18350341907227397,
+          0.07282735005446933, 0.00985245702332569, 9.998500249956258e-05, 9.999985000025e-07, 9.999999999985001e-13],
+    3.7: [0.9992536770590863, 0.9627035823192543, 0.6453356333199318, 0.37814139976045247, 0.12181720190523398,
+          0.02825098689418837, 0.0008239668418246423, 1.7368172865073293e-07, 3.467342633983537e-11,
+          2.75422369872631e-22],
+    5.19: [0.9992394208396863, 0.9619899217144049, 0.6375522858352715, 0.3616262205614911, 0.0998528533150898,
+           0.016259308276504736, 0.00013813052568571242, 9.97508694719749e-10, 6.4478523968270835e-15,
+           1.7354820361931055e-30],
+    8.0: [0.9992266021030893, 0.9613482150785013, 0.6305360755569764, 0.34659350708733416, 0.08051623795726262,
+          0.008079082260411886, 8.488181527628489e-06, 1.1167803048255973e-13, 1.1199677445913502e-21,
+          1.1199999999677434e-45],
+    30.0: [0.9992087357664851, 0.9604538086499531, 0.6207230048851272, 0.3253086154260302, 0.054625044962983094,
+           0.0014768074376442532, 4.575251408229618e-11, 1.984611796727031e-39, 2.0720034831117328e-69,
+           2.0729069296087578e-159],
+    100.0: [0.9992041077601035, 0.9602221217419742, 0.6181735658308866, 0.31972415578412333, 0.04821217873113365,
+            0.0006964277173562688, 9.90168898459413e-17, 4.862994444539485e-102, 7.919618607947915e-202],
+}
+
+
+@pytest.mark.parametrize("df", sorted(STDTR_P))
+def test_t_tail_matches_recorded_scipy_values(df):
+    for t, p_ref in zip(STDTR_T, STDTR_P[df]):
+        for signed_t in (t, -t):
+            p = _t_two_sided_p(signed_t, df)
+            assert abs(p - p_ref) <= 1e-12 * p_ref, (signed_t, df, p, p_ref)
+
+
+def test_t_tail_matches_closed_forms_for_one_and_two_degrees_of_freedom():
+    for t in np.logspace(-8, 6, 141):
+        t = float(t)
+        s = math.sqrt(2.0 + t * t)
+        for df, p_ref in ((1.0, 2.0 / math.pi * math.atan(1.0 / t)), (2.0, 2.0 / (s * (s + t)))):
+            p = _t_two_sided_p(t, df)
+            assert abs(p - p_ref) <= 1e-13 * p_ref, (t, df, p, p_ref)
+
+
+def test_t_tail_edges():
+    assert _t_two_sided_p(0.0, 3.0) == 1.0 and _t_two_sided_p(-0.0, 0.5) == 1.0
+    assert _t_two_sided_p(1e-200, 3.0) == 1.0  # t * t underflows
+    assert _t_two_sided_p(1e200, 3.0) == 0.0  # t * t overflows
 
 
 def test_welch_zero_variance_equal_means():
