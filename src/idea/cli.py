@@ -73,6 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    """An int >= 1; argparse names the flag in the error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """Add the train/ablate flags and return them by dest, the --config file's keys.
 
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_eval.add_argument("--test-csv", required=True)
-    p_eval.add_argument("--test-limit", type=int, default=None)
+    p_eval.add_argument("--test-limit", type=positive_int, default=None)
     p_eval.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p_eval.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     p_eval.add_argument("--seed", type=int, default=0, help="seed for --test-limit subsampling")
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
-    p_exp.add_argument("--limit", type=int, default=None)
+    p_exp.add_argument("--limit", type=positive_int, default=None)
     p_exp.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p_exp.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     p_exp.add_argument("--seed", type=int, default=0)
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path, flags: dict[str, argparse.Action]) -> dict:
     """The file's settings, each checked by its flag's type and choices; null means unset."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped, as load_csv does
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

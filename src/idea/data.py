@@ -240,9 +240,9 @@ def stratified_split(docs: list[Document], holdout_size: int, seed: int) -> tupl
     class's share differs from exact proportionality by less than one
     document. Both halves preserve original corpus order.
     """
-    if holdout_size > len(docs):
+    if not 0 <= holdout_size <= len(docs):
         raise ValueError(
-            f"stratified_split: holdout {holdout_size} exceeds corpus size {len(docs)}"
+            f"stratified_split: holdout {holdout_size} is outside 0..{len(docs)}, the corpus size"
         )
     by_class: dict[int, list[int]] = {}
     for i, doc in enumerate(docs):

@@ -74,6 +74,10 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.lambda_l2 must be >= 0 and finite, got {self.lambda_l2}")
         if self.epochs < 1:
             raise ValueError("TrainConfig.epochs must be >= 1")
+        for name in ("train_limit", "test_limit", "max_steps"):  # None means no limit
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
         if self.max_len > self.max_positions - 2:  # [CLS] and [SEP] take two positions
             raise ValueError(
                 f"TrainConfig.max_len {self.max_len} exceeds max_positions - 2 "
@@ -225,6 +229,43 @@ def evaluate(model: IdeaModel, batches: list[Batch]) -> Metrics:
     return metrics_from_counts(per_class, n)
 
 
+@dataclass
+class StepStats:
+    """What train reads from one step."""
+
+    loss: float
+    grad_norm: float  # before clipping
+
+
+def build(config: TrainConfig, labels: LabelSet, vocab: Vocab) -> tuple[IdeaModel, AdamW]:
+    """The recipe's float32 model, initialized from config.seed, and its AdamW."""
+    enc_cfg = EncoderConfig(vocab_size=len(vocab), d=config.d, n_layers=config.n_layers,
+                            n_heads=config.n_heads, dropout=config.dropout)
+    model = IdeaModel.build(enc_cfg, labels, vocab, ablation=AblationConfig(config.ablation),
+                            dtype=np.float32, rng=np.random.default_rng(_derive_seed(config.seed, 4)))
+    return model, AdamW(model.params, lr=config.learning_rate)
+
+
+def train_step(model: IdeaModel, opt: AdamW, batch: Batch, config: TrainConfig,
+               rng: np.random.Generator) -> StepStats:
+    """One optimizer step: the loss with dropout from rng, its gradients clipped, then AdamW.
+
+    A non-finite loss or gradient norm raises NonFiniteLossError(what, detail)
+    before any parameter moves; train puts the step's position into its message.
+    """
+    model.zero_grads()
+    loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=rng)
+    loss_val = float(loss.data)
+    if not math.isfinite(loss_val):
+        raise NonFiniteLossError(f"non-finite loss {loss_val}", None)
+    backward(loss)
+    norm = clip_grads(model.params, config.grad_clip)
+    if not math.isfinite(norm):
+        raise NonFiniteLossError("non-finite gradient norm", f"loss {loss_val}")
+    opt.step()
+    return StepStats(loss_val, norm)
+
+
 def train(config: TrainConfig, log=print) -> RunResult:
     """Shuffle, batch, optimize, validate per epoch, test the best epoch."""
     labels = LabelSet(list(config.label_names))
@@ -251,23 +292,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
     train_docs, val_docs = stratified_split(train_docs, val_size, _derive_seed(config.seed, 3))
 
     vocab = build_vocab(train_docs, config.min_freq, config.vocab_max_size, labels)
-    enc_cfg = EncoderConfig(
-        vocab_size=len(vocab),
-        d=config.d,
-        n_layers=config.n_layers,
-        n_heads=config.n_heads,
-        dropout=config.dropout,
-    )
-    rng = np.random.default_rng(_derive_seed(config.seed, 4))
-    model = IdeaModel.build(
-        enc_cfg,
-        labels,
-        vocab,
-        ablation=AblationConfig(config.ablation),
-        dtype=np.float32,
-        rng=rng,
-    )
-    opt = AdamW(model.params, lr=config.learning_rate)
+    model, opt = build(config, labels, vocab)
     dropout_rng = np.random.default_rng(_derive_seed(config.seed, 5))
     val_batches = make_batches(val_docs, vocab, config.batch_size, max_len=config.max_len)
     test_batches = make_batches(test_docs, vocab, config.batch_size, max_len=config.max_len)
@@ -276,8 +301,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
     epoch_seconds: list[float] = []
     best: tuple[float, int] | None = None  # (accuracy, epoch index)
     best_snapshot = None
-    step = 0
-    norm = None  # the previous step's pre-clip gradient norm while the next loss is checked
+    stats = None  # the previous step's, whose pre-clip norm a non-finite loss names
     stop = False
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -291,27 +315,16 @@ def train(config: TrainConfig, log=print) -> RunResult:
         )
         loss_sum, loss_count = 0.0, 0
         for batch in batches:
-            model.zero_grads()
-            loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=dropout_rng)
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                prev = "n/a (first step)" if norm is None else f"{norm} (previous step)"
-                raise NonFiniteLossError(
-                    f"non-finite loss {loss_val} at step {step + 1} "
-                    f"(epoch {epoch}, lr {config.learning_rate}, grad_norm {prev})"
-                )
-            backward(loss)
-            norm = clip_grads(model.params, config.grad_clip)
-            if not math.isfinite(norm):
-                raise NonFiniteLossError(
-                    f"non-finite gradient norm at step {step + 1} "
-                    f"(epoch {epoch}, lr {config.learning_rate}, loss {loss_val})"
-                )
-            opt.step()
-            step += 1
-            loss_sum += loss_val
+            try:
+                stats = train_step(model, opt, batch, config, dropout_rng)
+            except NonFiniteLossError as exc:  # train_step's (what, detail) gains the step's position
+                what, detail = exc.args
+                prev = "n/a (first step)" if stats is None else f"{stats.grad_norm} (previous step)"
+                where = f"at step {opt.t + 1} (epoch {epoch}, lr {config.learning_rate}"
+                raise NonFiniteLossError(f"{what} {where}, {detail or 'grad_norm ' + prev})") from None
+            loss_sum += stats.loss
             loss_count += 1
-            if config.max_steps is not None and step >= config.max_steps:
+            if config.max_steps is not None and opt.t >= config.max_steps:
                 stop = True
                 break
         metrics = evaluate(model.frozen(), val_batches)
@@ -380,7 +393,7 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
             raise ValueError("welch_t_test: zero variance in both samples with equal means")
         return WelchResult(t=math.copysign(math.inf, ma - mb), p=0.0, df=float("nan"))
     t = (ma - mb) / math.sqrt(se2)
-    df = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    df = 1.0 / ((va / na / se2) ** 2 / (na - 1) + (vb / nb / se2) ** 2 / (nb - 1))  # se2**2 may underflow
     return WelchResult(t=t, p=_t_two_sided_p(t, df), df=df)
 
 

@@ -129,6 +129,58 @@ def test_cmd_train_and_eval(cli_corpus, tmp_path, capsys):
     assert "test_accuracy=" in stdout
 
 
+FIXED_SEED_EPOCHS = """\
+epoch 1: train_loss=1.1133 val_acc=0.8778
+epoch 2: train_loss=1.1088 val_acc=1.0000
+"""
+FIXED_SEED_METRICS = """\
+seed=0
+epochs_run=2
+selected_epoch=2
+val_accuracy_epoch_1=0.8777777777777778
+val_accuracy_epoch_2=1.0
+test_accuracy=1.0
+test_macro_precision=1.0
+test_macro_recall=1.0
+test_macro_f1=1.0
+test_n_samples=90
+test_class_0_tp=30
+test_class_0_fp=0
+test_class_0_fn=0
+test_class_1_tp=30
+test_class_1_fp=0
+test_class_1_fn=0
+test_class_2_tp=30
+test_class_2_fp=0
+test_class_2_fn=0
+"""
+
+
+def test_fixed_seed_run_matches_recorded_outputs(tmp_path, capsys):
+    """make-synthetic seeds 0 and 1 (300 and 90 docs), then train 2 epochs at seed 0, then eval.
+
+    Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (the scipy-openblas64 wheel build,
+    DYNAMIC_ARCH picking Haswell kernels) on x86_64, with 1 and 2 BLAS threads alike.
+    Another CPU's kernels may round differently and move a 4-decimal loss. A change
+    that moves these values on purpose records the new literals and says why in
+    CHANGES.md. model.ckpt is not pinned: a legitimate GEMM reordering moves
+    parameters by about 7.5e-9 while every value below stays.
+    """
+    train_csv, test_csv, out = str(tmp_path / "train.csv"), str(tmp_path / "test.csv"), str(tmp_path / "run")
+    assert main(["make-synthetic", "--out", train_csv, "--docs", "300", "--seed", "0"]) == 0
+    assert main(["make-synthetic", "--out", test_csv, "--docs", "90", "--seed", "1"]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run_cli(capsys, "train", "--train-csv", train_csv, "--test-csv", test_csv,
+                              "--labels", "sport,finance,science", "--epochs", "2", "--seed", "0", "--out", out)
+    assert code == 0
+    assert re.sub(r" \(\d+\.\ds\)$", "", stdout, flags=re.M) == FIXED_SEED_EPOCHS + FIXED_SEED_METRICS
+    with open(os.path.join(out, "metrics.txt"), "rb") as fh:
+        assert fh.read() == FIXED_SEED_METRICS.encode("utf-8")
+    code, stdout, _ = run_cli(capsys, "eval", "--model-dir", out, "--test-csv", test_csv)
+    assert code == 0
+    assert stdout == "".join(line for line in FIXED_SEED_METRICS.splitlines(True) if line.startswith("test_"))
+
+
 def test_cmd_export_features(cli_corpus, tmp_path, capsys):
     out = str(tmp_path / "run")
     code, _, _ = run_cli(
@@ -469,6 +521,30 @@ def test_train_max_len_beyond_positions_exits_1(capsys):
     assert "max_len 511" in err
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--train-limit", "train_limit"), ("--test-limit", "test_limit"), ("--max-steps", "max_steps"),
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, field, value):
+    code, _, err = run_cli(capsys, "train", "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+                           "--labels", "a,b", flag, value)
+    assert code == 1
+    assert f"TrainConfig.{field} must be >= 1, got {value}" in err and "/no/such.csv" not in err
+
+
+@pytest.mark.parametrize("command, csv_flag, flag", [
+    ("eval", "--test-csv", "--test-limit"), ("export-features", "--csv", "--limit"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_below_one_exits_1(tmp_path, capsys, command, csv_flag, flag, value):
+    args = [command, "--model-dir", str(tmp_path / "no_model"), csv_flag, "/no/such.csv", flag, value]
+    if command == "export-features":
+        args += ["--out", str(tmp_path / "features.tsv")]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 1
+    assert f"argument {flag}: must be >= 1, got {value}" in err
+
+
 def test_dataset_preset_fills_labels_and_epochs(cli_corpus, tmp_path, capsys):
     # agnews preset: 4 labels, 2 epochs; corpus must be 4-class to match
     train_csv = str(tmp_path / "ag_train.csv")
@@ -499,6 +575,15 @@ def test_config_file_precedence(cli_corpus, tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "train", "--config", cfg_path, "--epochs", "2")
     assert code == 0
     assert "epochs_run=2" in stdout
+
+
+def test_config_file_with_a_bom(tmp_path, capsys, train_calls):
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w", encoding="utf-8-sig") as fh:  # as some Windows editors save it
+        json.dump({**CSVS, "labels": "a,b", "epochs": 3}, fh)
+    code, _, err = run_cli(capsys, "train", "--config", path)
+    assert code == 0, err
+    assert train_calls == [TrainConfig(**CSVS, label_names=["a", "b"], epochs=3)]
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

@@ -342,6 +342,13 @@ def test_stratified_split_holdout_too_large():
         stratified_split(_balanced_docs(), 101, seed=0)
 
 
+def test_stratified_split_negative_holdout():
+    # perm[:-1] would take all but one document of every class
+    stratified_split(_balanced_docs(), 0, seed=0)
+    with pytest.raises(ValueError, match="holdout -1 is outside 0..100"):
+        stratified_split(_balanced_docs(), -1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # batching
 

@@ -1,28 +1,30 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from idea import synthetic
-from idea.autodiff import FREED_MEMORY_KEPT, Tensor, backward
+from idea.autodiff import FREED_MEMORY_KEPT, Tensor
 from idea.data import Document, LabelSet, build_vocab, load_csv, make_batches
-from idea.encoder import EncoderConfig
-from idea.head import AblationConfig
 from idea.model import IdeaModel
 from idea.training import (
     AdamW,
     Metrics,
     NonFiniteLossError,
     RunResult,
+    StepStats,
     TrainConfig,
     WelchResult,
     _t_two_sided_p,
+    build,
     clip_grads,
     evaluate,
     export_features,
     metrics_from_counts,
     train,
+    train_step,
     welch_t_test,
 )
 
@@ -202,6 +204,16 @@ def test_t_tail_edges():
     assert _t_two_sided_p(1e200, 3.0) == 0.0  # t * t overflows
 
 
+def test_welch_tiny_variances_do_not_underflow_the_degrees_of_freedom():
+    # se2 is about 2.5e-320, so se2**2 underflows to 0; the variances themselves are subnormal
+    res = welch_t_test([0.0, 1e-160], [0.0, 3e-160])
+    ref = welch_t_test([0.0, 1.0], [0.0, 3.0])  # the same samples scaled by 1e160
+    assert ref.df == pytest.approx(6.25 / 5.125, rel=1e-12)
+    assert res.t == pytest.approx(ref.t, rel=1e-2)
+    assert res.df == pytest.approx(ref.df, rel=1e-2)
+    assert res.p == pytest.approx(ref.p, rel=1e-2)
+
+
 def test_welch_zero_variance_equal_means():
     with pytest.raises(ValueError):
         welch_t_test([5.0, 5.0], [5.0, 5.0, 5.0])
@@ -376,32 +388,77 @@ def test_train_aborts_on_nonfinite_loss(synthetic_corpus):
     assert "1e+30" in str(err.value)
 
 
-@pytest.mark.parametrize("bad_step", [1, 3])
-def test_nonfinite_loss_names_previous_grad_norm(synthetic_corpus, monkeypatch, bad_step):
-    norms, losses = [], []
+@pytest.fixture()
+def steps(monkeypatch):
+    """Records each step's loss and pre-clip norm; nan_loss_at or nan_norm_at makes that step's value NaN."""
+    rec = SimpleNamespace(losses=[], norms=[], nan_loss_at=None, nan_norm_at=None)
     real_loss = IdeaModel.loss
 
     def clip(params, max_norm):
-        norms.append(clip_grads(params, max_norm))
-        return norms[-1]
+        rec.norms.append(clip_grads(params, max_norm))
+        return math.nan if len(rec.norms) == rec.nan_norm_at else rec.norms[-1]
 
     def loss(self, *args, **kwargs):
         out = real_loss(self, *args, **kwargs)
-        losses.append(out[0])
-        if len(losses) == bad_step:
+        if len(rec.losses) + 1 == rec.nan_loss_at:
             out[0].data = np.full_like(out[0].data, np.nan)
+        rec.losses.append(float(out[0].data))
         return out
 
     monkeypatch.setattr("idea.training.clip_grads", clip)
     monkeypatch.setattr(IdeaModel, "loss", loss)
+    return rec
+
+
+@pytest.mark.parametrize("bad_step", [1, 3])
+def test_nonfinite_loss_names_previous_grad_norm(synthetic_corpus, steps, bad_step):
+    steps.nan_loss_at = bad_step
     with pytest.raises(NonFiniteLossError) as err:
         train(_fast_config(synthetic_corpus), log=lambda m: None)
-    assert f"at step {bad_step} " in str(err.value)
-    assert len(norms) == bad_step - 1
-    if bad_step == 1:
-        assert "grad_norm n/a (first step)" in str(err.value)
-    else:
-        assert f"grad_norm {norms[-1]} (previous step)" in str(err.value)
+    assert len(steps.norms) == bad_step - 1
+    prev = "n/a (first step)" if bad_step == 1 else f"{steps.norms[-1]} (previous step)"
+    assert str(err.value) == f"non-finite loss nan at step {bad_step} (epoch 1, lr 0.001, grad_norm {prev})"
+
+
+@pytest.mark.parametrize("bad_step, epoch", [(1, 1), (7, 2)])  # five steps an epoch
+def test_nonfinite_grad_norm_names_step_epoch_lr_and_loss(synthetic_corpus, steps, bad_step, epoch):
+    steps.nan_norm_at = bad_step
+    with pytest.raises(NonFiniteLossError) as err:
+        train(_fast_config(synthetic_corpus), log=lambda m: None)
+    assert len(steps.losses) == bad_step
+    assert str(err.value) == (
+        f"non-finite gradient norm at step {bad_step} (epoch {epoch}, lr 0.001, loss {steps.losses[-1]})"
+    )
+
+
+def _built(config, docs):
+    """build's model and optimizer for config, with a vocabulary taken from docs."""
+    labels = LabelSet(config.label_names)
+    return build(config, labels, build_vocab(docs, config.min_freq, config.vocab_max_size, labels))
+
+
+def test_train_step_returns_the_loss_and_the_norm_clip_grads_computed(steps):
+    rows, names = synthetic.generate_rows(64, 3, seed=0)
+    docs = [Document(f"{title} {desc}", cls) for cls, title, desc in rows]
+    config = TrainConfig(label_names=names, d=16, n_layers=1, n_heads=2)
+    model, opt = _built(config, docs)
+    batch = make_batches(docs, model.vocab, config.batch_size)[0]
+    rng = np.random.default_rng(0)
+    before = model.copy_param_data()
+    assert train_step(model, opt, batch, config, rng) == StepStats(loss=steps.losses[0], grad_norm=steps.norms[0])
+    assert opt.t == 1
+    assert any(not np.array_equal(before[name], p.data) for name, p in model.params.items())
+    # a non-finite step raises (what, detail) for train to place, and moves no parameter
+    before = model.copy_param_data()
+    steps.nan_norm_at, steps.nan_loss_at = 2, 3
+    with pytest.raises(NonFiniteLossError) as err:
+        train_step(model, opt, batch, config, rng)
+    assert err.value.args == ("non-finite gradient norm", f"loss {steps.losses[1]}")
+    with pytest.raises(NonFiniteLossError) as err:
+        train_step(model, opt, batch, config, rng)
+    assert err.value.args == ("non-finite loss nan", None)
+    assert opt.t == 1
+    assert all(np.array_equal(before[name], p.data) for name, p in model.params.items())
 
 
 def test_train_config_validation():
@@ -411,6 +468,11 @@ def test_train_config_validation():
         TrainConfig(lambda_l2=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for field in ("train_limit", "test_limit", "max_steps"):
+        TrainConfig(**{field: 1})
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= 1, got {value}"):
+                TrainConfig(**{field: value})
 
 
 def test_train_config_rejects_max_len_beyond_positions():
@@ -454,14 +516,8 @@ def test_warm_train_step_takes_few_page_faults():
     )  # criterion 9's AGNews-format settings: about 27 tokens per row with [CLS] and [SEP]
     docs = [Document(f"{title} {desc}", cls) for cls, title, desc in rows]
     config = TrainConfig(label_names=names)
-    labels = LabelSet(names)
-    vocab = build_vocab(docs, config.min_freq, config.vocab_max_size, labels)
-    enc_cfg = EncoderConfig(vocab_size=len(vocab), d=config.d, n_layers=config.n_layers,
-                            n_heads=config.n_heads, dropout=config.dropout)
-    model = IdeaModel.build(enc_cfg, labels, vocab, ablation=AblationConfig(config.ablation),
-                            dtype=np.float32, rng=np.random.default_rng(0))
-    opt = AdamW(model.params, lr=config.learning_rate)
-    batches = make_batches(docs, vocab, config.batch_size, shuffle=True, seed=1,
+    model, opt = _built(config, docs)
+    batches = make_batches(docs, model.vocab, config.batch_size, shuffle=True, seed=1,
                            max_len=config.max_len)
     batches.sort(key=lambda b: b.token_ids.shape[1], reverse=True)  # no step outgrows the warm-up
     dropout_rng = np.random.default_rng(2)
@@ -469,11 +525,7 @@ def test_warm_train_step_takes_few_page_faults():
     def faults_of(steps):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for batch in steps:
-            model.zero_grads()
-            loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=dropout_rng)
-            backward(loss)
-            clip_grads(model.params, config.grad_clip)
-            opt.step()
+            train_step(model, opt, batch, config, dropout_rng)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     faults_of(batches[:3])  # warm-up: the heap grows to a step's working set
