@@ -107,9 +107,11 @@ class Tensor:
 
 def _result(data, inputs, backward_fn, op: str) -> Tensor:
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.lineage = Lineage(op, tuple(inputs), backward_fn)
+    for t in inputs:  # a loop, not any(): no generator on every op call
+        if t.requires_grad:
+            out.requires_grad = True
+            out.lineage = Lineage(op, tuple(inputs), backward_fn)
+            break
     return out
 
 
@@ -451,13 +453,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(table.data[ids], (table,), backward_fn, "embedding")
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis, then apply a learned gain and bias."""
-    v = x.data
+def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """Normalize a + b (broadcast) over the last axis, then apply a learned gain and bias; one tape node."""
+    try:
+        v = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add_layernorm: cannot broadcast {a.data.shape} with {b.data.shape}")
     dim = v.shape[-1]
-    mu = v.mean(axis=-1, keepdims=True)
+    # np.add.reduce / dim is .mean()'s own arithmetic, without its Python wrapper
+    mu = np.add.reduce(v, axis=-1, keepdims=True) / dim
     xc = v - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / dim
     std = np.sqrt(var + eps)
     xhat = xc / std
     data = xhat * gain.data + bias.data
@@ -470,9 +476,9 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tens
         dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
         dmu = (-dxhat / std).sum(axis=-1, keepdims=True)  # xc has zero mean: no dvar term
         dx = dxhat / std + dvar * 2.0 * xc / dim + dmu / dim
-        return dx, dgain, dbias
+        return _unbroadcast(dx, a.data.shape), _unbroadcast(dx, b.data.shape), dgain, dbias
 
-    return _result(data, (x, gain, bias), backward_fn, "layernorm")
+    return _result(data, (a, b, gain, bias), backward_fn, "add_layernorm")
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:
@@ -577,7 +583,8 @@ def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
     fn must be a deterministic closure over params returning a scalar
     Tensor. Each parameter coordinate is perturbed by +-step and the
     per-parameter error is ||g_analytic - g_numeric|| / (||g_analytic|| +
-    ||g_numeric||), 0 when both vanish.
+    ||g_numeric||), 0 when both vanish. The finite-difference forwards run with
+    each parameter's requires_grad off (restored after, also if fn raises): no tape.
     """
     named = list(params.items()) if isinstance(params, dict) else list(params)
     for _, p in named:
@@ -586,20 +593,27 @@ def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
     analytic = {name: p.grad.copy() for name, p in named}
 
     errors: dict[str, float] = {}
-    for name, p in named:
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(fn().data)
-            flat[i] = orig - step
-            f_minus = float(fn().data)
-            flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * step)
-        a = analytic[name].reshape(-1)
-        denom = float(np.linalg.norm(a) + np.linalg.norm(numeric))
-        errors[name] = float(np.linalg.norm(a - numeric)) / denom if denom > 0 else 0.0
+    flags = [p.requires_grad for _, p in named]
+    try:
+        for _, p in named:
+            p.requires_grad = False
+        for name, p in named:
+            flat = p.data.reshape(-1)
+            numeric = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                f_plus = float(fn().data)
+                flat[i] = orig - step
+                f_minus = float(fn().data)
+                flat[i] = orig
+                numeric[i] = (f_plus - f_minus) / (2.0 * step)
+            a = analytic[name].reshape(-1)
+            denom = float(np.linalg.norm(a) + np.linalg.norm(numeric))
+            errors[name] = float(np.linalg.norm(a - numeric)) / denom if denom > 0 else 0.0
+    finally:
+        for (_, p), flag in zip(named, flags):
+            p.requires_grad = flag
 
     return GradCheckReport(
         max_relative_error=max(errors.values()) if errors else 0.0,

@@ -399,6 +399,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValueError(f"bad seed list {text!r}")
     if not seeds:
         raise ValueError("empty seed list")
+    if min(seeds) < 0:
+        raise ValueError(f"bad seed list {text!r}: seeds must be >= 0")
     return seeds
 
 

@@ -108,9 +108,9 @@ def _feed_forward(x, params, prefix, config, training, rng):
 
 def _encoder_layer(x, key_bias, params, prefix, config, training, rng):
     attn = _self_attention(x, key_bias, params, prefix, config, training, rng)
-    x = ad.layernorm(ad.add(x, attn), params[prefix + "ln1.g"], params[prefix + "ln1.b"], config.layer_norm_eps)
+    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], config.layer_norm_eps)
     h = _feed_forward(x, params, prefix, config, training, rng)
-    return ad.layernorm(ad.add(x, h), params[prefix + "ln2.g"], params[prefix + "ln2.b"], config.layer_norm_eps)
+    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], config.layer_norm_eps)
 
 
 def encode(
@@ -133,8 +133,8 @@ def encode(
         )
 
     x = ad.embedding(params["token_emb"], ids)
-    x = ad.add(x, ad.slice_axis(params["pos_emb"], 0, 0, seq))
-    x = ad.layernorm(x, params["emb_ln.g"], params["emb_ln.b"], config.layer_norm_eps)
+    x = ad.add_layernorm(x, ad.slice_axis(params["pos_emb"], 0, 0, seq), params["emb_ln.g"], params["emb_ln.b"],
+                         config.layer_norm_eps)
     x = ad.dropout(x, config.dropout, training, rng)
     # PAD keys get exactly zero weight in every layer
     key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]

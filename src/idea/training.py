@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.lambda_l2 must be >= 0 and finite, got {self.lambda_l2}")
         if self.epochs < 1:
             raise ValueError("TrainConfig.epochs must be >= 1")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
         for name in ("train_limit", "test_limit", "max_steps"):  # None means no limit
             value = getattr(self, name)
             if value is not None and value < 1:

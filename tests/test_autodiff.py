@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -436,17 +437,39 @@ def test_embedding_id_out_of_range(rng):
         ad.embedding(leaf(rng, 4, 2), np.array([4]))
 
 
-def test_layernorm_gradcheck(rng):
-    x = leaf(rng, 2, 5, 6)
+@pytest.mark.parametrize("b_shape", [(2, 5, 6), (5, 6)], ids=["same", "position"])
+def test_add_layernorm_gradcheck(rng, b_shape):
+    # b of shape (S, d) against a's (K, S, d) is the position embedding's case
+    a, b = leaf(rng, 2, 5, 6), leaf(rng, *b_shape)
     g = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), requires_grad=True)
-    b = leaf(rng, 6)
+    beta = leaf(rng, 6)
     tgt = Tensor(rng.normal(size=(2, 5, 6)))
 
     def fn():
-        return ad.reduce(ad.mul(ad.layernorm(x, g, b, eps=1e-12), tgt))
+        return ad.reduce(ad.mul(ad.add_layernorm(a, b, g, beta, eps=1e-12), tgt))
 
-    report = grad_check(fn, {"x": x, "g": g, "b": b}, step=1e-6)
+    report = grad_check(fn, {"a": a, "b": b, "g": g, "beta": beta}, step=1e-6)
     assert report.max_relative_error < 1e-6
+
+
+def test_add_layernorm_shape_mismatch():
+    d3 = Tensor(np.ones(3))
+    with pytest.raises(ShapeError) as err:
+        ad.add_layernorm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))), d3, d3)
+    assert "(2, 3)" in str(err.value) and "(4,)" in str(err.value)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((4, 7, 16), (7, 16)), ((3, 5), (3, 5)), ((2, 9, 64), (2, 9, 64))],
+                         ids=["position", "same-2d", "same-3d"])
+def test_add_layernorm_matches_layernorm_of_add_bitwise(rng, a_shape, b_shape):
+    a, b, gain, bias = (rng.normal(0.0, 2.0, size=shape).astype(np.float32)
+                        for shape in (a_shape, b_shape, a_shape[-1:], a_shape[-1:]))
+    # the two ops add_layernorm replaced: add, then layernorm with .mean()
+    v = a + b
+    xc = v - v.mean(axis=-1, keepdims=True)
+    want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12) * gain + bias
+    got = ad.add_layernorm(Tensor(a), Tensor(b), Tensor(gain), Tensor(bias), 1e-12).data
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def test_feed_forward_gradcheck(rng):
@@ -475,6 +498,54 @@ def test_gradcheck_report_invariant(rng):
     assert report.max_relative_error == max(report.per_parameter_errors.values())
     assert set(report.per_parameter_errors) == {"a", "b"}
     assert report.step_size == 1e-6
+
+
+def test_grad_check_finite_differences_record_no_tape(rng):
+    a, b = leaf(rng, 2, 3), leaf(rng, 3)
+    taped = []
+
+    def fn():
+        out = ad.reduce(ad.tanh(ad.add(a, b)))
+        taped.append(out.lineage is not None)
+        return out
+
+    grad_check(fn, {"a": a, "b": b}, step=1e-6)
+    # the analytic pass records its tape; none of the 2 * 9 finite-difference forwards do
+    assert taped == [True] + [False] * 18
+
+
+@pytest.mark.parametrize("fail_at", [None, 5])
+def test_grad_check_restores_requires_grad(rng, fail_at):
+    a, b, c = leaf(rng, 2, 3), Tensor(rng.normal(size=(2, 3))), leaf(rng, 3)  # b passed in already off
+    calls = []
+
+    def fn():
+        calls.append(None)
+        if len(calls) == fail_at:  # a finite-difference forward, partway through a
+            raise RuntimeError("fn failed")
+        return ad.reduce(ad.mul(ad.add(a, c), b))
+
+    if fail_at is None:
+        grad_check(fn, {"a": a, "b": b, "c": c}, step=1e-6)
+    else:
+        with pytest.raises(RuntimeError, match="fn failed"):
+            grad_check(fn, {"a": a, "b": b, "c": c}, step=1e-6)
+    assert (a.requires_grad, b.requires_grad, c.requires_grad) == (True, False, True)
+
+
+def test_grad_check_report_of_the_gradcheck_model_is_unchanged():
+    # recorded with the taped finite-difference forwards and the add -> layernorm pair
+    # (numpy 2.4.6, OpenBLAS 0.3.31, x86_64); a cheap subset of criterion 1's parameters
+    model, _, fn = gradcheck_setup(0)
+    subset = {name: p for name, p in model.params.items() if name.startswith(("clf.", "layer1.ln2."))}
+    assert grad_check(fn, subset, step=1e-5).format() == "\n".join([
+        "step_size=1e-05",
+        "layer1.ln2.g: rel_err=5.548e-10",
+        "layer1.ln2.b: rel_err=3.401e-10",
+        "clf.W: rel_err=5.834e-11",
+        "clf.b: rel_err=1.790e-11",
+        "max_relative_error=5.548e-10",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +602,7 @@ def _op_cases(rng):
         ("slice", lambda x: ad.slice_axis(x, 1, 1, 3), (f32(2, 3),)),
         ("broadcast", lambda x: ad.broadcast_to(x, (2, 3)), (f32(1, 3),)),
         ("embedding", lambda t: ad.embedding(t, np.array([[0, 2], [1, 1]])), (f32(4, 3),)),
-        ("layernorm", ad.layernorm, (f32(2, 3), gain, f32(3))),
+        ("add_layernorm", ad.add_layernorm, (f32(2, 3), f32(3), gain, f32(3))),
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2])), (f32(2, 3),)),
         ("frobenius_sq", lambda a, b: ad.frobenius_sq([a, b]), (f32(2, 3), f32(3))),
     ]
@@ -549,21 +620,34 @@ def test_float32_ops_stay_float32(rng):
         assert all(leaf.grad.dtype == np.float32 for leaf in leaves), name
 
 
+def _tape_op_counts(loss) -> Counter:
+    """The op nodes on loss's tape, by op name."""
+    ops: Counter = Counter()
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.lineage is not None:
+            ops[node.lineage.op] += 1
+            fresh = [p for p in node.lineage.inputs if id(p) not in seen]
+            seen.update(id(p) for p in fresh)
+            stack.extend(fresh)
+    return ops
+
+
 def test_every_op_of_the_gradcheck_model_has_a_dtype_case(rng):
     # a new op on the model's tape must join _op_cases, or the float32 test skips it
     model, batch, fn = gradcheck_setup(0)
-    ops = set()
-    for loss in (fn(), model.loss(batch, 0.01, training=True, rng=np.random.default_rng(0))[0]):
-        seen, stack = {id(loss)}, [loss]
-        while stack:
-            node = stack.pop()
-            if node.lineage is not None:
-                ops.add(node.lineage.op)
-                fresh = [p for p in node.lineage.inputs if id(p) not in seen]
-                seen.update(id(p) for p in fresh)
-                stack.extend(fresh)
+    ops = set(_tape_op_counts(fn())) | set(_tape_op_counts(model.loss(
+        batch, 0.01, training=True, rng=np.random.default_rng(0))[0]))
     assert {"self_attention", "feed_forward", "dropout"} <= ops
     assert ops <= {name for name, _, _ in _op_cases(rng)}
+
+
+def test_gradcheck_model_tape_node_count():
+    # each forward of criterion 1's 4,603 runs this tape, so a new node shows here
+    ops = _tape_op_counts(gradcheck_setup(0)[2]())
+    assert sum(ops.values()) == 82
+    assert ops["add_layernorm"] == 10 and ops["layernorm"] == 0 and ops["add"] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +748,15 @@ def _softmax_case(draw):
     return lambda x: ad.softmax(x, axis, bias), [shape]
 
 
-def _layernorm_case(draw):
+def _add_layernorm_case(draw):
     lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
     dim = draw(st.integers(3, 5))  # at width 2 the normalized values are +-1 whatever x is
-    return (lambda x, g, b: ad.layernorm(x, g, b)), [(*lead, dim), (dim,), (dim,)]
+    shape = (*lead, dim)
+    # a summand broadcast along the normalized axis shifts each row by a constant,
+    # which the norm takes out again: its gradient is exactly 0
+    small = (*_broadcastable(draw, lead), dim)
+    summands = [small, shape] if draw(st.booleans()) else [shape, small]
+    return (lambda a, b, g, beta: ad.add_layernorm(a, b, g, beta)), [*summands, (dim,), (dim,)]
 
 
 def _scale_case(draw):
@@ -741,7 +830,7 @@ OP_CASES = {
     "broadcast_to": _broadcast_to_case,
     "embedding": _embedding_case,
     "softmax": _softmax_case,
-    "layernorm": _layernorm_case,
+    "add_layernorm": _add_layernorm_case,
     "cross_entropy": _cross_entropy_case,
     "frobenius_sq": _frobenius_sq_case,
 }

@@ -94,6 +94,12 @@ def test_cmd_gradcheck_passes(capsys):
     assert "max_relative_error" in stdout
 
 
+def test_cmd_gradcheck_negative_seed_exits_1_before_any_check(capsys):
+    code, stdout, err = run_cli(capsys, "gradcheck", "--seeds", "0,-1")
+    assert code == 1 and stdout == ""
+    assert "bad seed list '0,-1': seeds must be >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / export-features
 
@@ -532,6 +538,13 @@ def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, fiel
     assert f"TrainConfig.{field} must be >= 1, got {value}" in err and "/no/such.csv" not in err
 
 
+def test_train_negative_seed_exits_1_before_reading_the_csv(capsys):
+    code, _, err = run_cli(capsys, "train", "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+                           "--labels", "a,b", "--seed", "-1")
+    assert code == 1
+    assert "TrainConfig.seed must be >= 0, got -1" in err and "/no/such.csv" not in err
+
+
 @pytest.mark.parametrize("command, csv_flag, flag", [
     ("eval", "--test-csv", "--test-limit"), ("export-features", "--csv", "--limit"),
 ])
@@ -660,6 +673,12 @@ def test_ablate_runs_every_mode_and_seed_from_one_base(tmp_path, capsys, train_c
     assert train_calls == [
         replace(base, ablation=mode, seed=seed) for mode in ABLATION_MODES for seed in (3, 4)
     ]
+
+
+def test_ablate_negative_seed_exits_1_before_any_run(capsys, train_calls):
+    code, _, err = run_cli(capsys, "ablate", "--labels", "a,b", *CSV_FLAGS, "--seeds", "0,-1")
+    assert code == 1 and train_calls == []
+    assert "bad seed list '0,-1': seeds must be >= 0" in err
 
 
 def test_failed_ablation_table_write_keeps_previous_file(tmp_path, capsys, train_calls, full_disk):
