@@ -105,13 +105,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, inputs, backward_fn, op: str) -> Tensor:
-    out = Tensor(data)
+def _needs_grad(inputs) -> bool:
     for t in inputs:  # a loop, not any(): no generator on every op call
         if t.requires_grad:
-            out.requires_grad = True
-            out.lineage = Lineage(op, tuple(inputs), backward_fn)
-            break
+            return True
+    return False
+
+
+def _result(data, inputs, backward_fn, op: str) -> Tensor:
+    out = Tensor(data)
+    if _needs_grad(inputs):
+        out.requires_grad = True
+        out.lineage = Lineage(op, tuple(inputs), backward_fn)
     return out
 
 
@@ -320,7 +325,10 @@ def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: 
     Dropout, as in dropout(), hits the attention weights and then the
     output, drawing from rng in that order. The backward pass is written
     out by hand; its weight gradients are single GEMMs over all K*S rows.
+    Without a gradient to record, the dropped weights overwrite the probabilities.
     """
+    inputs = (x, Wq, bq, Wk, Wv, bv, Wo, bo)
+    reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     xd = x.data
     k_batch, seq, d = xd.shape
     dk = d // heads
@@ -332,38 +340,51 @@ def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: 
     def merge(t):  # K x heads x S x dk -> (K*S) x d
         return t.transpose(0, 2, 1, 3).reshape(k_batch * seq, d)
 
-    q = split(xd @ Wq.data + bq.data)
+    q = xd @ Wq.data
+    q += bq.data
+    q = split(q)
     k = split(xd @ Wk.data)
-    v = split(xd @ Wv.data + bv.data)
-    scores = (q @ k.swapaxes(-1, -2)) * alpha + key_bias
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    v = xd @ Wv.data
+    v += bv.data
+    v = split(v)
+    probs = q @ k.swapaxes(-1, -2)  # the scores, exponentiated and normalized in place
+    probs *= alpha
+    probs += key_bias
+    # row maxima (exact in any order) from a key-major copy: one reduction, not one per short row
+    probs -= np.maximum.reduce(probs.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     keep_p = _dropout_keep(probs.shape, xd.dtype, rate, training, rng)
-    weights = probs if keep_p is None else probs * keep_p
+    weights = probs if keep_p is None else np.multiply(probs, keep_p, out=probs if reuse else None)
     ctx = merge(weights @ v)
-    out = ctx.reshape(xd.shape) @ Wo.data + bo.data
+    out = ctx.reshape(xd.shape) @ Wo.data
+    out += bo.data
     keep_o = _dropout_keep(out.shape, xd.dtype, rate, training, rng)
     if keep_o is not None:
-        out = out * keep_o
+        out *= keep_o
 
     def backward_fn(g):
         if keep_o is not None:
             g = g * keep_o
         g = g.reshape(k_batch * seq, d)
         gctx = split(g @ Wo.data.T)
-        gweights = gctx @ v.swapaxes(-1, -2)
+        gscores = gctx @ v.swapaxes(-1, -2)  # the weights' gradient, turned into the scores' in place
         if keep_p is not None:
-            gweights = gweights * keep_p
-        gscores = probs * (gweights - np.sum(gweights * probs, axis=-1, keepdims=True)) * alpha
+            gscores *= keep_p
+        gscores -= np.sum(gscores * probs, axis=-1, keepdims=True)
+        gscores *= probs
+        gscores *= alpha
         gq = merge(gscores @ k)
         gk = merge(gscores.swapaxes(-1, -2) @ q)
         gv = merge(weights.swapaxes(-1, -2) @ gctx)
         x2 = xd.reshape(k_batch * seq, d)
-        gx = gq @ Wq.data.T + gk @ Wk.data.T + gv @ Wv.data.T
+        gx = gq @ Wq.data.T
+        gx += gk @ Wk.data.T
+        gx += gv @ Wv.data.T
         return (gx.reshape(xd.shape), x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
                 gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
 
-    return _result(out, (x, Wq, bq, Wk, Wv, bv, Wo, bo), backward_fn, "self_attention")
+    return _result(out, inputs, backward_fn, "self_attention")
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -375,16 +396,27 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate
 
     GELU is the tanh approximation; dropout is as in dropout(). The
     backward pass is written out by hand; its weight gradients are
-    single GEMMs over all rows of x.
+    single GEMMs over all rows of x. Without a gradient to record, the
+    activation overwrites the pre-activation.
     """
+    inputs = (x, W1, b1, W2, b2)
+    reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     xd = x.data
-    h = np.matmul(xd, W1.data) + b1.data
-    t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
-    act = 0.5 * h * (1.0 + t)
-    out = np.matmul(act, W2.data) + b2.data
+    h = np.matmul(xd, W1.data)
+    h += b1.data
+    t = h * h  # tanh(C (h + 0.044715 h^3)), built in place
+    t *= h
+    t *= 0.044715
+    t += h
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    act = np.multiply(h, 0.5, out=h if reuse else None)  # (0.5 h) (1 + t)
+    act *= np.add(t, 1.0, out=t if reuse else None)
+    out = np.matmul(act, W2.data)
+    out += b2.data
     keep = _dropout_keep(out.shape, out.dtype, rate, training, rng)
     if keep is not None:
-        out = out * keep
+        out *= keep
 
     def backward_fn(g):
         if keep is not None:
@@ -392,12 +424,24 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate
         g = g.reshape(-1, g.shape[-1])  # one row per position of x
         n = len(g)
         h2, t2 = h.reshape(n, -1), t.reshape(n, -1)
-        dgelu = 0.5 * (1.0 + t2) + 0.5 * h2 * (1.0 - t2 * t2) * (_GELU_C * (1.0 + 3 * 0.044715 * h2 * h2))
-        gh = (g @ W2.data.T) * dgelu
+        # gelu' = 0.5 (1 + t) + (0.5 h) (1 - t^2) (C (1 + 3 * 0.044715 h^2)), in that association
+        dgelu = np.multiply(h2, 0.5)
+        s = np.multiply(t2, t2)
+        dgelu *= np.subtract(1.0, s, out=s)
+        np.multiply(h2, 3 * 0.044715, out=s)
+        s *= h2
+        s += 1.0
+        s *= _GELU_C
+        dgelu *= s
+        np.add(t2, 1.0, out=s)
+        s *= 0.5
+        dgelu += s
+        gh = g @ W2.data.T
+        gh *= dgelu
         return ((gh @ W1.data.T).reshape(xd.shape), xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
                 act.reshape(n, -1).T @ g, g.sum(axis=0))
 
-    return _result(out, (x, W1, b1, W2, b2), backward_fn, "feed_forward")
+    return _result(out, inputs, backward_fn, "feed_forward")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -454,31 +498,45 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize a + b (broadcast) over the last axis, then apply a learned gain and bias; one tape node."""
+    """Normalize a + b (broadcast) over the last axis, then apply a learned gain and bias; one tape node.
+
+    Without a gradient to record, the normalized values and then the output overwrite the sum.
+    """
+    inputs = (a, b, gain, bias)
+    reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     try:
-        v = a.data + b.data
+        xc = a.data + b.data
     except ValueError:
         raise ShapeError(f"add_layernorm: cannot broadcast {a.data.shape} with {b.data.shape}")
-    dim = v.shape[-1]
+    dim = xc.shape[-1]
     # np.add.reduce / dim is .mean()'s own arithmetic, without its Python wrapper
-    mu = np.add.reduce(v, axis=-1, keepdims=True) / dim
-    xc = v - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / dim
-    std = np.sqrt(var + eps)
-    xhat = xc / std
-    data = xhat * gain.data + bias.data
+    xc -= np.add.reduce(xc, axis=-1, keepdims=True) / dim
+    sq = xc * xc
+    std = np.add.reduce(sq, axis=-1, keepdims=True) / dim
+    std += eps
+    np.sqrt(std, out=std)
+    xhat = np.divide(xc, std, out=xc if reuse else sq)
+    data = np.multiply(xhat, gain.data, out=xhat if reuse else None)
+    data += bias.data
 
     def backward_fn(g):
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
+        s = g * xhat
+        dgain = s.sum(axis=lead)
         dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
-        dmu = (-dxhat / std).sum(axis=-1, keepdims=True)  # xc has zero mean: no dvar term
-        dx = dxhat / std + dvar * 2.0 * xc / dim + dmu / dim
+        dx = g * gain.data  # d loss / d xhat, turned into d loss / d x in place
+        dvar = np.multiply(dx, xc, out=s).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
+        np.negative(dx, out=s)
+        s /= std
+        dmu = s.sum(axis=-1, keepdims=True)  # xc has zero mean: no dvar term
+        dx /= std
+        np.multiply(xc, dvar * 2.0, out=s)
+        s /= dim
+        dx += s
+        dx += dmu / dim
         return _unbroadcast(dx, a.data.shape), _unbroadcast(dx, b.data.shape), dgain, dbias
 
-    return _result(data, (a, b, gain, bias), backward_fn, "add_layernorm")
+    return _result(data, inputs, backward_fn, "add_layernorm")
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:
@@ -557,7 +615,11 @@ def backward(loss: Tensor) -> None:
         grads = node.lineage.backward_fn(node.grad)
         for parent, g in zip(node.lineage.inputs, grads):
             if g is not None and parent.requires_grad:
-                parent.grad += g
+                if parent._grad is None:
+                    # a copy: closures return views, read-only broadcasts and one array to two parents
+                    parent._grad = np.array(g, dtype=parent.data.dtype)
+                else:
+                    parent._grad += g
         node.lineage = None
 
 

@@ -81,6 +81,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """An int >= 0, as numpy's seeds must be; argparse names the flag in the error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """Add the train/ablate flags and return them by dest, the --config file's keys.
 
@@ -136,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_eval.add_argument("--test-csv", required=True)
     p_eval.add_argument("--test-limit", type=positive_int, default=None)
-    p_eval.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p_eval.add_argument("--max-len", type=int, default=TrainConfig.max_len)
-    p_eval.add_argument("--seed", type=int, default=0, help="seed for --test-limit subsampling")
+    p_eval.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
+    p_eval.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
+    p_eval.add_argument("--seed", type=non_negative_int, default=0, help="seed for --test-limit subsampling")
 
     p_ablate = sub.add_parser(
         "ablate", formatter_class=fmt,
@@ -162,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
     p_exp.add_argument("--limit", type=positive_int, default=None)
-    p_exp.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p_exp.add_argument("--max-len", type=int, default=TrainConfig.max_len)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
+    p_exp.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
+    p_exp.add_argument("--seed", type=non_negative_int, default=0)
 
     p_syn = sub.add_parser("make-synthetic", formatter_class=fmt,
                            help="emit a synthetic keyword-bag CSV corpus")
@@ -172,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--out", required=True, help="output CSV path")
     p_syn.add_argument("--docs", type=int, default=300)
     p_syn.add_argument("--classes", type=int, default=3)
-    p_syn.add_argument("--seed", type=int, default=0)
+    p_syn.add_argument("--seed", type=non_negative_int, default=0)
     p_syn.add_argument("--label-names", default=None, help="override the generated label names")
     p_syn.add_argument("--keywords-per-class", type=int, default=8)
     p_syn.add_argument("--doc-keywords", type=int, default=8)

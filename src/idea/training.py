@@ -76,7 +76,7 @@ class TrainConfig:
             raise ValueError("TrainConfig.epochs must be >= 1")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
-        for name in ("train_limit", "test_limit", "max_steps"):  # None means no limit
+        for name in ("train_limit", "test_limit", "max_steps", "max_len"):  # None means no limit
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
@@ -186,19 +186,29 @@ class AdamW:
                 raise ValueError(f"AdamW: grad shape {g.shape} != param {p.data.shape} for {name}")
             m = self.m[name]
             v = self.v[name]
+            # in place, in the textbook's order; out= keeps a shape () step an array, not a numpy scalar
+            s = np.empty_like(m)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= self.lr * update
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            np.sqrt(np.divide(v, bc2, out=s), out=s)
+            s += self.eps
+            update = m / bc1
+            update /= s
+            update *= self.lr
+            p.data -= update
 
 
 def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global norm is at most max_norm; return the norm before clipping."""
     total = 0.0  # a loop, not sum(): since Python 3.12 sum() compensates float rounding
     for p in params.values():
-        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+        sq = p.grad.astype(np.float64)
+        sq *= sq
+        total += float(sq.sum())
     norm = math.sqrt(total)
     if max_norm and norm > max_norm:
         factor = max_norm / norm

@@ -369,6 +369,18 @@ def test_backward_accumulates_reused_tensor(rng):
     np.testing.assert_array_equal(x.grad, 2 * np.ones(4))
 
 
+@pytest.mark.parametrize("add_first", [True, False])
+def test_first_gradient_is_never_shared(rng, add_first):
+    # add hands one array to both summands; a also feeds a second op, whose gradient joins a's
+    a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+    w, c = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    parts = [ad.mul(ad.add(a, b), w), ad.mul(a, c)]
+    backward(ad.reduce(ad.add(*(parts if add_first else parts[::-1]))))
+    np.testing.assert_array_equal(b.grad, w.data)
+    np.testing.assert_array_equal(a.grad, w.data + c.data)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
 def test_backward_non_scalar_raises(rng):
     with pytest.raises(ValueError):
         backward(leaf(rng, 2, 2))
@@ -941,6 +953,153 @@ def test_encode_matches_six_node_feed_forward_bitwise(monkeypatch, training, k_b
     fused = run()
     monkeypatch.setattr(encoder, "_feed_forward", _six_node_feed_forward)
     assert fused == run()
+
+
+# the fused ops' forward and backward as first written, one fresh array per operator: the
+# in-place kernels must reproduce them byte for byte, with and without a gradient to record
+
+RATE = 0.1
+
+
+def _keep(draws, shape):
+    """The dropout mask dropout() draws: 1/(1-RATE) where kept, 0 where dropped."""
+    return np.multiply(draws.random(shape) >= RATE, 1.0 / (1.0 - RATE), dtype=np.float32)
+
+
+def _attention_out_of_place(xd, key_bias, Wq, bq, Wk, Wv, bv, Wo, bo, heads, keep_p, keep_o, g):
+    k_batch, seq, d = xd.shape
+    dk = d // heads
+    alpha = 1.0 / math.sqrt(dk)
+
+    def split(t):
+        return t.reshape(k_batch, seq, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(k_batch * seq, d)
+
+    q = split(xd @ Wq + bq)
+    k = split(xd @ Wk)
+    v = split(xd @ Wv + bv)
+    scores = (q @ k.swapaxes(-1, -2)) * alpha + key_bias
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    weights = probs if keep_p is None else probs * keep_p
+    ctx = merge(weights @ v)
+    out = ctx.reshape(xd.shape) @ Wo + bo
+    if keep_o is not None:
+        out = out * keep_o
+        g = g * keep_o
+    g = g.reshape(k_batch * seq, d)
+    gctx = split(g @ Wo.T)
+    gweights = gctx @ v.swapaxes(-1, -2)
+    if keep_p is not None:
+        gweights = gweights * keep_p
+    gscores = probs * (gweights - np.sum(gweights * probs, axis=-1, keepdims=True)) * alpha
+    gq = merge(gscores @ k)
+    gk = merge(gscores.swapaxes(-1, -2) @ q)
+    gv = merge(weights.swapaxes(-1, -2) @ gctx)
+    x2 = xd.reshape(k_batch * seq, d)
+    gx = gq @ Wq.T + gk @ Wk.T + gv @ Wv.T
+    return out, (gx.reshape(xd.shape), x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
+                 gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
+
+
+def _feed_forward_out_of_place(xd, W1, b1, W2, b2, keep, g):
+    h = np.matmul(xd, W1) + b1
+    t = np.tanh(0.7978845608028654 * (h + 0.044715 * (h * h * h)))
+    act = 0.5 * h * (1.0 + t)
+    out = np.matmul(act, W2) + b2
+    if keep is not None:
+        out = out * keep
+        g = g * keep
+    g = g.reshape(-1, g.shape[-1])
+    n = len(g)
+    h2, t2 = h.reshape(n, -1), t.reshape(n, -1)
+    dgelu = 0.5 * (1.0 + t2) + 0.5 * h2 * (1.0 - t2 * t2) * (0.7978845608028654 * (1.0 + 3 * 0.044715 * h2 * h2))
+    gh = (g @ W2.T) * dgelu
+    return out, ((gh @ W1.T).reshape(xd.shape), xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
+                 act.reshape(n, -1).T @ g, g.sum(axis=0))
+
+
+def _add_layernorm_out_of_place(a, b, gain, bias, g, eps=1e-12):
+    v = a + b
+    dim = v.shape[-1]
+    mu = np.add.reduce(v, axis=-1, keepdims=True) / dim
+    xc = v - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / dim
+    std = np.sqrt(var + eps)
+    xhat = xc / std
+    out = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    dxhat = g * gain
+    dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
+    dmu = (-dxhat / std).sum(axis=-1, keepdims=True)
+    dx = dxhat / std + dvar * 2.0 * xc / dim + dmu / dim
+    db = dx if b.shape == dx.shape else dx.sum(axis=0)  # b is the (S, d) position table
+    return out, (dx, db, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def _assert_fused_matches(op, arrays, g, want_out, want_grads):
+    """op over float32 leaves, recorded and then gradient-free, against want's bytes; no input is written."""
+    before = [a.copy() for a in (*arrays, g)]
+    for requires_grad in (True, False):
+        out = op(*[Tensor(a, requires_grad=requires_grad) for a in arrays])
+        assert out.data.dtype == np.float32 and out.data.tobytes() == want_out.tobytes()
+        assert (out.lineage is not None) == requires_grad
+        if requires_grad:
+            got = out.lineage.backward_fn(g)
+            assert [(a.shape, a.dtype, a.tobytes()) for a in got] == \
+                [(a.shape, a.dtype, a.tobytes()) for a in want_grads]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((*arrays, g), before))
+
+
+def _float32_arrays(rng, *shapes):
+    return [rng.normal(0.0, 0.3, size=shape).astype(np.float32) for shape in shapes]
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_self_attention_matches_out_of_place_formulas_bitwise(training, k_batch, seq, d, heads):
+    rng = np.random.default_rng(seq)
+    arrays = _float32_arrays(rng, (k_batch, seq, d), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,))
+    g, = _float32_arrays(rng, (k_batch, seq, d))
+    mask = rng.random((k_batch, seq)) > 0.3
+    mask[:, 0] = True
+    key_bias = ad.mask_bias(mask, np.float32)[:, None, None, :]
+    draws = np.random.default_rng(7)
+    keep_p = _keep(draws, (k_batch, heads, seq, seq)) if training else None
+    keep_o = _keep(draws, (k_batch, seq, d)) if training else None
+    want = _attention_out_of_place(arrays[0], key_bias, *arrays[1:], heads, keep_p, keep_o, g)
+
+    def op(x, *weights):
+        return ad.self_attention(x, key_bias, *weights, heads, RATE, training, np.random.default_rng(7))
+
+    _assert_fused_matches(op, arrays, g, *want)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_feed_forward_matches_out_of_place_formulas_bitwise(training, k_batch, seq, d, heads):
+    rng = np.random.default_rng(seq)
+    arrays = _float32_arrays(rng, (k_batch, seq, d), (d, 4 * d), (4 * d,), (4 * d, d), (d,))
+    g, = _float32_arrays(rng, (k_batch, seq, d))
+    keep = _keep(np.random.default_rng(7), (k_batch, seq, d)) if training else None
+    want = _feed_forward_out_of_place(*arrays, keep, g)
+
+    def op(*ts):
+        return ad.feed_forward(*ts, RATE, training, np.random.default_rng(7))
+
+    _assert_fused_matches(op, arrays, g, *want)
+
+
+@pytest.mark.parametrize("position", [False, True], ids=["same", "position"])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_add_layernorm_matches_out_of_place_formulas_bitwise(position, k_batch, seq, d, heads):
+    rng = np.random.default_rng(seq)
+    arrays = _float32_arrays(rng, (k_batch, seq, d), (seq, d) if position else (k_batch, seq, d), (d,), (d,))
+    arrays[2] += 1.0  # gains near 1, as trained ones start
+    g, = _float32_arrays(rng, (k_batch, seq, d))
+    _assert_fused_matches(ad.add_layernorm, arrays, g, *_add_layernorm_out_of_place(*arrays, g))
 
 
 def _unused_tape_ops(autodiff_source: str, other_sources: list[str]) -> set[str]:

@@ -529,6 +529,7 @@ def test_train_max_len_beyond_positions_exits_1(capsys):
 
 @pytest.mark.parametrize("flag, field", [
     ("--train-limit", "train_limit"), ("--test-limit", "test_limit"), ("--max-steps", "max_steps"),
+    ("--max-len", "max_len"),
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, field, value):
@@ -547,6 +548,8 @@ def test_train_negative_seed_exits_1_before_reading_the_csv(capsys):
 
 @pytest.mark.parametrize("command, csv_flag, flag", [
     ("eval", "--test-csv", "--test-limit"), ("export-features", "--csv", "--limit"),
+    ("eval", "--test-csv", "--max-len"), ("export-features", "--csv", "--max-len"),
+    ("eval", "--test-csv", "--batch-size"), ("export-features", "--csv", "--batch-size"),
 ])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_limit_below_one_exits_1(tmp_path, capsys, command, csv_flag, flag, value):
@@ -556,6 +559,18 @@ def test_limit_below_one_exits_1(tmp_path, capsys, command, csv_flag, flag, valu
     code, _, err = run_cli(capsys, *args)
     assert code == 1
     assert f"argument {flag}: must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("eval", ["--model-dir", "/no/such/dir", "--test-csv", "/no/such.csv", "--test-limit", "10"]),
+    ("export-features", ["--model-dir", "/no/such/dir", "--csv", "/no/such.csv", "--limit", "5",
+                         "--out", "/no/such/features.tsv"]),
+    ("make-synthetic", ["--out", "/no/such/corpus.csv"]),
+])
+def test_negative_seed_exits_1_naming_the_flag(capsys, command, args):
+    code, out, err = run_cli(capsys, command, *args, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "argument --seed: must be >= 0, got -1" in err and "/no/such" not in err
 
 
 def test_dataset_preset_fills_labels_and_epochs(cli_corpus, tmp_path, capsys):

@@ -101,6 +101,48 @@ def test_clip_grads_scales_global_norm(rng):
     np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
 
+PIN_SHAPES = {"scalar": (), "vector": (3,), "matrix": (4, 5)}  # () as attn.b_m and attn.b_t
+
+
+def test_adamw_steps_match_the_textbook_update_bitwise():
+    rng = np.random.default_rng(0)
+    params = {name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+              for name, shape in PIN_SHAPES.items()}
+    opt = AdamW(params, lr=1e-2)
+    want = {name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in params.items()}
+    for t in range(1, 6):
+        for name, p in params.items():
+            g = rng.normal(size=p.shape).astype(np.float32)
+            p.grad = g.copy()
+            w, m, v = want[name]
+            m = m * opt.beta1 + (1.0 - opt.beta1) * g
+            v = v * opt.beta2 + (1.0 - opt.beta2) * g * g
+            w = w - opt.lr * ((m / (1.0 - opt.beta1**t)) / (np.sqrt(v / (1.0 - opt.beta2**t)) + opt.eps))
+            want[name] = w, m, v
+        opt.step()
+        for name, p in params.items():
+            got = (p.data, opt.m[name], opt.v[name])
+            assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want[name]]
+            assert all(a.dtype == np.float32 and a.shape == PIN_SHAPES[name] for a in got)
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 1e6], ids=["clipped", "kept"])
+def test_clip_grads_norm_and_scaling_match_the_textbook_formula_bitwise(max_norm):
+    rng = np.random.default_rng(1)
+    params = {name: Tensor(np.zeros(shape, np.float32), requires_grad=True) for name, shape in PIN_SHAPES.items()}
+    grads = {name: rng.normal(size=shape).astype(np.float32) for name, shape in PIN_SHAPES.items()}
+    for name, p in params.items():
+        p.grad = grads[name].copy()
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    assert clip_grads(params, max_norm) == norm
+    for name, p in params.items():
+        want = grads[name] * (max_norm / norm) if norm > max_norm else grads[name]
+        assert p.grad.shape == PIN_SHAPES[name] and p.grad.tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # welch
 
@@ -468,7 +510,7 @@ def test_train_config_validation():
         TrainConfig(lambda_l2=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    for field in ("train_limit", "test_limit", "max_steps"):
+    for field in ("train_limit", "test_limit", "max_steps", "max_len"):
         TrainConfig(**{field: 1})
         for value in (0, -3):
             with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= 1, got {value}"):
@@ -530,6 +572,41 @@ def test_warm_train_step_takes_few_page_faults():
 
     faults_of(batches[:3])  # warm-up: the heap grows to a step's working set
     assert faults_of(batches[3:8]) / 5 < 100
+
+
+def _tape_bytes(loss) -> int:
+    """Bytes the tape under loss keeps alive: node outputs and the arrays each backward_fn's
+    closure holds, counting every buffer once however many views share it."""
+    buffers, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.lineage is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        cells = node.lineage.backward_fn.__closure__ or ()
+        for arr in [node.data] + [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+        stack.extend(node.lineage.inputs)
+    return sum(buffers.values())
+
+
+def test_train_step_tape_keeps_no_more_bytes_than_recorded():
+    """A default float32 training forward over a 32 x 24 batch: the fused ops' backward reads
+    only h, t and act (feed-forward); q, k, v, probs, weights, ctx and the keep masks
+    (attention); xc, xhat and std (add + layer norm). The figure depends only on shapes."""
+    names = ["World", "Sports", "Business", "Sci/Tech"]
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(50)]
+    docs = [Document(" ".join(rng.choice(words, 22)), i % 4) for i in range(32)]
+    config = TrainConfig(label_names=names)
+    model, _ = _built(config, docs)
+    batch, = make_batches(docs, model.vocab, config.batch_size)
+    assert batch.token_ids.shape == (32, 24)
+    loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=np.random.default_rng(1))
+    # the out-of-place kernels' figure; also keeping gelu's 0.5 h and 1 + t reads 17,549,044
+    assert _tape_bytes(loss) <= 14_358_260
 
 
 # ---------------------------------------------------------------------------
