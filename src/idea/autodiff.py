@@ -645,7 +645,8 @@ def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
     fn must be a deterministic closure over params returning a scalar
     Tensor. Each parameter coordinate is perturbed by +-step and the
     per-parameter error is ||g_analytic - g_numeric|| / (||g_analytic|| +
-    ||g_numeric||), 0 when both vanish. The finite-difference forwards run with
+    ||g_numeric||): 0 when both norms are 0, inf when it is not finite (a NaN
+    would pass any threshold test and upset max). The finite-difference forwards run with
     each parameter's requires_grad off (restored after, also if fn raises): no tape.
     """
     named = list(params.items()) if isinstance(params, dict) else list(params)
@@ -672,7 +673,8 @@ def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
                 numeric[i] = (f_plus - f_minus) / (2.0 * step)
             a = analytic[name].reshape(-1)
             denom = float(np.linalg.norm(a) + np.linalg.norm(numeric))
-            errors[name] = float(np.linalg.norm(a - numeric)) / denom if denom > 0 else 0.0
+            err = float(np.linalg.norm(a - numeric)) / denom if denom != 0.0 else 0.0
+            errors[name] = err if math.isfinite(err) else math.inf
     finally:
         for (_, p), flag in zip(named, flags):
             p.requires_grad = flag

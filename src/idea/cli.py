@@ -13,7 +13,7 @@ import numpy as np
 from . import synthetic
 from .autodiff import grad_check
 from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
-from .encoder import EncoderConfig
+from .encoder import INIT_STD, EncoderConfig
 from .head import ABLATION_MODES
 from .model import IdeaModel
 from .training import (
@@ -211,9 +211,9 @@ def _load_config_file(path, flags: dict[str, argparse.Action]) -> dict:
             continue
         action = flags[key]
         try:
-            if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-                raise ValueError("expected a string or a number")
-            value = action.type(str(raw)) if action.type else str(raw)
+            if isinstance(raw, bool) or not isinstance(raw, (str, int, float) if action.type else str):
+                raise ValueError("expected a string or a number" if action.type else "expected a string")
+            value = action.type(str(raw)) if action.type else raw
             if action.choices and value not in action.choices:
                 raise ValueError(f"choose from {', '.join(action.choices)}")
         except ValueError as exc:
@@ -335,14 +335,10 @@ def gradcheck_setup(seed: int):
     enc_cfg = EncoderConfig(
         vocab_size=len(vocab), d=8, n_layers=2, n_heads=2, max_positions=16, dropout=0.1
     )
-    model = IdeaModel.build(
-        enc_cfg,
-        LabelSet(label_names),
-        vocab,
-        dtype=np.float64,
-        rng=rng,
-        classifier_init="normal",
-    )
+    model = IdeaModel.build(enc_cfg, LabelSet(label_names), vocab, dtype=np.float64, rng=rng)
+    # a nonzero classifier, or no gradient reaches the layers below it
+    clf_w = model.params["clf.W"].data
+    clf_w[...] = rng.normal(0.0, INIT_STD, size=clf_w.shape)
     # evaluate at a generic point: at the tiny training init the score
     # biases sit in a near-flat region (uniform tanh curvature cancels
     # against softmax shift invariance) and their gradients drown in
@@ -358,6 +354,8 @@ def gradcheck_setup(seed: int):
 
 
 def cmd_gradcheck(ns) -> int:
+    if not 0.0 < ns.step < math.inf:  # NaN fails too
+        raise ValueError(f"gradcheck: --step must be positive and finite, got {ns.step}")
     worst = 0.0
     for seed in _parse_seeds(ns.seeds):
         model, _, fn = gradcheck_setup(seed)

@@ -6,7 +6,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +51,22 @@ class Document:
 
 @dataclass
 class Vocab:
-    token_to_id: dict[str, int]
+    """The vocabulary whose ids are the positions in id_to_token: the specials, then distinct strings."""
+
     id_to_token: list[str]
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tokens = self.id_to_token
+        if not isinstance(tokens, list) or tuple(tokens[:4]) != SPECIAL_TOKENS:
+            raise ValueError(f"vocabulary must be a list that starts with {list(SPECIAL_TOKENS)}")
+        self.token_to_id = {}
+        for i, tok in enumerate(tokens):
+            if not isinstance(tok, str):
+                raise ValueError(f"vocabulary token {i} is not a string: {tok!r}")
+            if tok in self.token_to_id:
+                raise ValueError(f"vocabulary token {i} {tok!r} repeats token {self.token_to_id[tok]}")
+            self.token_to_id[tok] = i
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -84,31 +98,14 @@ class Vocab:
         while toks and toks[-1] == "":
             toks.pop()
         try:
-            return cls.from_list(toks)
+            return cls(toks)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
-    def from_list(cls, tokens) -> "Vocab":
-        """The vocabulary whose ids are the positions in tokens: the specials, then distinct strings."""
-        if not isinstance(tokens, list) or tuple(tokens[:4]) != SPECIAL_TOKENS:
-            raise ValueError(f"vocabulary must be a list that starts with {list(SPECIAL_TOKENS)}")
-        token_to_id = {}
-        for i, tok in enumerate(tokens):
-            if not isinstance(tok, str):
-                raise ValueError(f"vocabulary token {i} is not a string: {tok!r}")
-            if tok in token_to_id:
-                raise ValueError(f"vocabulary token {i} {tok!r} repeats token {token_to_id[tok]}")
-            token_to_id[tok] = i
-        return cls(token_to_id, tokens)
-
-    @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocab":
-        ordered = list(SPECIAL_TOKENS)
-        for t in tokens:
-            if t not in ordered:
-                ordered.append(t)
-        return cls({t: i for i, t in enumerate(ordered)}, ordered)
+        """The specials, then each distinct token in order of first appearance."""
+        return cls(list(dict.fromkeys([*SPECIAL_TOKENS, *tokens])))
 
 
 @dataclass
@@ -176,7 +173,7 @@ def build_vocab(
     for tok in forced:
         if tok not in present:
             ordered.append(tok)
-    return Vocab({t: i for i, t in enumerate(ordered)}, ordered)
+    return Vocab(ordered)
 
 
 def encode_document(doc: Document, vocab: Vocab, max_len: int = 128) -> list[int]:
@@ -211,25 +208,31 @@ def load_csv(path, num_classes: int | None = None) -> list[Document]:
 
     Text fields are joined with a single space; class ids are shifted to
     0-based. Blank lines are skipped, and so is a leading UTF-8 byte-order
-    mark (Excel writes one).
+    mark (Excel writes one). An error names the line where its row starts.
     """
     docs: list[Document] = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) < 2:
-                raise CsvFormatError(f"{path}:{line}: expected class index and text fields")
-            try:
-                cls_idx = int(row[0])
-            except ValueError:
-                raise CsvFormatError(f"{path}:{line}: class index {row[0]!r} is not an integer")
-            label = cls_idx - 1
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                raise CsvFormatError(f"{path}:{line}: class index {cls_idx} out of range")
-            docs.append(Document(text=" ".join(row[1:]), label=label))
+        start = 1  # a quoted field may hold line breaks, so a row can span lines
+        try:
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise CsvFormatError(f"{path}:{line}: expected class index and text fields")
+                try:
+                    cls_idx = int(row[0])
+                except ValueError:
+                    raise CsvFormatError(f"{path}:{line}: class index {row[0]!r} is not an integer")
+                label = cls_idx - 1
+                if label < 0 or (num_classes is not None and label >= num_classes):
+                    raise CsvFormatError(f"{path}:{line}: class index {cls_idx} out of range")
+                docs.append(Document(text=" ".join(row[1:]), label=label))
+        except csv.Error as exc:  # a field over csv's size limit
+            raise CsvFormatError(f"{path}:{start}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so the line is unknown
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return docs
 
 

@@ -6,7 +6,6 @@ multi-head self-attention, feed-forward, post-layer norms, pooler).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,8 @@ from .autodiff import Tensor
 
 INIT_STD = 0.02
 BACKEND = "mini-transformer"
+FFN_MULT = 4  # BERT's feed-forward width, 4 d
+LAYER_NORM_EPS = 1e-12  # BERT's
 
 
 @dataclass
@@ -24,16 +25,12 @@ class EncoderConfig:
     d: int = 64
     n_layers: int = 2
     n_heads: int = 4
-    ffn_dim: int | None = None  # defaults to 4*d
     max_positions: int = 512
     backend: str = BACKEND  # the only encoder; kept as a checkpoint header field
     dropout: float = 0.1
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.ffn_dim is None:
-            self.ffn_dim = 4 * self.d
-        for name in ("vocab_size", "d", "n_layers", "n_heads", "ffn_dim", "max_positions"):
+        for name in ("vocab_size", "d", "n_layers", "n_heads", "max_positions"):
             value = getattr(self, name)
             if not (isinstance(value, int) and not isinstance(value, bool) and value > 0):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -41,14 +38,9 @@ class EncoderConfig:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.backend != BACKEND:
             raise ValueError(f"unknown encoder backend {self.backend!r}; expected {BACKEND!r}")
-        if not (_is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
+        if not (isinstance(self.dropout, (int, float)) and not isinstance(self.dropout, bool)
+                and 0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if not (_is_real(self.layer_norm_eps) and 0.0 < self.layer_norm_eps < math.inf):
-            raise ValueError(f"layer_norm_eps must be a positive finite number, got {self.layer_norm_eps!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -64,7 +56,7 @@ ParamSpec = tuple[str, tuple[int, ...], str]
 
 def param_specs(config: EncoderConfig) -> list[ParamSpec]:
     """The encoder's parameters in checkpoint order."""
-    d, f = config.d, config.ffn_dim
+    d, f = config.d, FFN_MULT * config.d
     specs = [("token_emb", (config.vocab_size, d), "normal"), ("pos_emb", (config.max_positions, d), "normal"),
              ("emb_ln.g", (d,), "ones"), ("emb_ln.b", (d,), "zeros")]
     for i in range(config.n_layers):
@@ -108,9 +100,9 @@ def _feed_forward(x, params, prefix, config, training, rng):
 
 def _encoder_layer(x, key_bias, params, prefix, config, training, rng):
     attn = _self_attention(x, key_bias, params, prefix, config, training, rng)
-    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], config.layer_norm_eps)
+    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], LAYER_NORM_EPS)
     h = _feed_forward(x, params, prefix, config, training, rng)
-    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], config.layer_norm_eps)
+    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], LAYER_NORM_EPS)
 
 
 def encode(
@@ -134,7 +126,7 @@ def encode(
 
     x = ad.embedding(params["token_emb"], ids)
     x = ad.add_layernorm(x, ad.slice_axis(params["pos_emb"], 0, 0, seq), params["emb_ln.g"], params["emb_ln.b"],
-                         config.layer_norm_eps)
+                         LAYER_NORM_EPS)
     x = ad.dropout(x, config.dropout, training, rng)
     # PAD keys get exactly zero weight in every layer
     key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]

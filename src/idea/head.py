@@ -64,19 +64,14 @@ class IdeaFeatures:
     z: Tensor  # K x width fused classifier input
 
 
-def param_specs(d: int, z_width: int, n_classes: int, classifier_init: str = "zeros") -> list[tuple]:
-    """The two bilinear attentions' and the classifier's (name, shape, initializer) specs.
-
-    classifier_init ("zeros" or "normal") picks clf.W's initializer.
-    """
-    if classifier_init not in ("zeros", "normal"):
-        raise ValueError(f"unknown classifier init {classifier_init!r}")
+def param_specs(d: int, z_width: int, n_classes: int) -> list[tuple]:
+    """The two bilinear attentions' and the classifier's (name, shape, initializer) specs."""
     return [
         ("attn.W_m", (d, d), "normal"),
         ("attn.b_m", (), "zeros"),
         ("attn.W_t", (d, d), "normal"),
         ("attn.b_t", (), "zeros"),
-        ("clf.W", (z_width, n_classes), classifier_init),
+        ("clf.W", (z_width, n_classes), "zeros"),
         ("clf.b", (n_classes,), "zeros"),
     ]
 

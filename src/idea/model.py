@@ -24,7 +24,7 @@ from .encoder import (
 )
 from .head import AblationConfig, AttentionParams, IdeaFeatures, idea_loss
 
-CHECKPOINT_MAGIC = b"IDEACKP1"
+CHECKPOINT_MAGIC = b"IDEACKP2"
 
 
 class IdeaModel:
@@ -47,7 +47,6 @@ class IdeaModel:
         gamma_mode: str = hd.GAMMA_MODE,
         dtype=np.float32,
         rng: np.random.Generator | None = None,
-        classifier_init: str = "zeros",
         params: dict[str, Tensor] | None = None,
     ):
         if gamma_mode != hd.GAMMA_MODE:
@@ -71,18 +70,16 @@ class IdeaModel:
         self.dtype = np.dtype(dtype)
         self.n_classes = len(label_names)
         if params is None:
-            params = init_params(self.param_specs(classifier_init), rng or np.random.default_rng(0), dtype)
+            params = init_params(self.param_specs(), rng or np.random.default_rng(0), dtype)
         self.params = params
         self.is_frozen = False
         # a frozen model's label encoding, with the parameter arrays it was computed from
         self._labels: tuple[tuple[np.ndarray, ...], tuple[Tensor, Tensor]] | None = None
 
-    def param_specs(self, classifier_init: str = "zeros") -> list[ParamSpec]:
+    def param_specs(self) -> list[ParamSpec]:
         """Every parameter's (name, shape, initializer), in checkpoint order."""
         d = self.encoder_config.d
-        return param_specs(self.encoder_config) + hd.param_specs(
-            d, self.ablation.z_width(d), self.n_classes, classifier_init
-        )
+        return param_specs(self.encoder_config) + hd.param_specs(d, self.ablation.z_width(d), self.n_classes)
 
     @classmethod
     def build(cls, encoder_config, labels: LabelSet, vocab: Vocab, **kwargs) -> "IdeaModel":
@@ -182,7 +179,6 @@ class IdeaModel:
         header = {
             "encoder": asdict(self.encoder_config),
             "ablation": self.ablation.mode,
-            "gamma_mode": self.gamma_mode,
             "crc32": crc,
             "label_names": self.label_names,
             "vocab": self.vocab.id_to_token,
@@ -204,6 +200,9 @@ class IdeaModel:
         params: dict[str, Tensor] = {}
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
+            if magic == b"IDEACKP1":  # its header also recorded gamma_mode and two encoder constants
+                raise ValueError(f"{path}: checkpoint format {magic.decode()} is older than this program's "
+                                 f"{CHECKPOINT_MAGIC.decode()}; retrain the model")
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint")
             size = int.from_bytes(fh.read(8), "little")
@@ -215,9 +214,8 @@ class IdeaModel:
                 model = cls(
                     EncoderConfig(**header["encoder"]),
                     header["label_names"],
-                    Vocab.from_list(header["vocab"]),
+                    Vocab(header["vocab"]),
                     ablation=AblationConfig(header["ablation"]),
-                    gamma_mode=header["gamma_mode"],
                     dtype=dtype,
                     params=params,
                 )

@@ -76,7 +76,7 @@ class TrainConfig:
             raise ValueError("TrainConfig.epochs must be >= 1")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
-        for name in ("train_limit", "test_limit", "max_steps", "max_len"):  # None means no limit
+        for name in ("train_limit", "test_limit", "max_steps", "max_len", "min_freq"):  # None means no limit
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
@@ -85,6 +85,11 @@ class TrainConfig:
                 f"TrainConfig.max_len {self.max_len} exceeds max_positions - 2 "
                 f"= {self.max_positions - 2}"
             )
+        self.encoder_config(1)  # the encoder's own rules, with a placeholder vocabulary size
+
+    def encoder_config(self, vocab_size: int) -> EncoderConfig:
+        return EncoderConfig(vocab_size=vocab_size, d=self.d, n_layers=self.n_layers, n_heads=self.n_heads,
+                             dropout=self.dropout)
 
 
 @dataclass
@@ -251,10 +256,9 @@ class StepStats:
 
 def build(config: TrainConfig, labels: LabelSet, vocab: Vocab) -> tuple[IdeaModel, AdamW]:
     """The recipe's float32 model, initialized from config.seed, and its AdamW."""
-    enc_cfg = EncoderConfig(vocab_size=len(vocab), d=config.d, n_layers=config.n_layers,
-                            n_heads=config.n_heads, dropout=config.dropout)
-    model = IdeaModel.build(enc_cfg, labels, vocab, ablation=AblationConfig(config.ablation),
-                            dtype=np.float32, rng=np.random.default_rng(_derive_seed(config.seed, 4)))
+    model = IdeaModel.build(config.encoder_config(len(vocab)), labels, vocab,
+                            ablation=AblationConfig(config.ablation), dtype=np.float32,
+                            rng=np.random.default_rng(_derive_seed(config.seed, 4)))
     return model, AdamW(model.params, lr=config.learning_rate)
 
 

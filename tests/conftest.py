@@ -8,6 +8,7 @@ from hypothesis import settings
 sys.path.insert(0, os.path.dirname(__file__))
 
 from idea import synthetic
+from idea.encoder import INIT_STD
 
 # every property test is reproducible run to run; each sets only its own max_examples
 settings.register_profile("idea", deadline=None, derandomize=True, database=None)
@@ -44,3 +45,14 @@ def noisy_corpus(tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def draw_normal_classifier(params, rng) -> None:
+    """Draw the zero-initialized params["clf.W"] from N(0, INIT_STD).
+
+    Called on the rng the parameters were initialized from, right after, it gives
+    the values an initializer draw in parameter order would: clf.W is the last
+    parameter drawn, and clf.b, the only one after it, is zeros.
+    """
+    w = params["clf.W"].data
+    w[...] = rng.normal(0.0, INIT_STD, size=w.shape)

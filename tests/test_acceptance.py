@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
+from conftest import draw_normal_classifier
 from idea import synthetic
 from idea.autodiff import Tensor, grad_check
 from idea.cli import gradcheck_setup, main
@@ -145,9 +146,9 @@ def test_criterion_5_batch_invariance(synthetic_corpus):
     labels = LabelSet(list(synthetic_corpus["labels"]))
     vocab = build_vocab(docs, labels=labels)
     cfg = EncoderConfig(vocab_size=len(vocab), d=32, n_layers=2, n_heads=4, dropout=0.1)
-    model = IdeaModel.build(cfg, labels, vocab, gamma_mode="per-sample",
-                            dtype=np.float32, rng=np.random.default_rng(3),
-                            classifier_init="normal")
+    rng = np.random.default_rng(3)
+    model = IdeaModel.build(cfg, labels, vocab, gamma_mode="per-sample", dtype=np.float32, rng=rng)
+    draw_normal_classifier(model.params, rng)
     (batch,) = make_batches(docs, vocab, batch_size=32)
     logits_b, feats_b = model.forward(batch.token_ids, batch.pad_mask)
     preds_b = np.argmax(logits_b.data, axis=1)

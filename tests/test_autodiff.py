@@ -545,6 +545,24 @@ def test_grad_check_restores_requires_grad(rng, fail_at):
     assert (a.requires_grad, b.requires_grad, c.requires_grad) == (True, False, True)
 
 
+def test_grad_check_error_is_0_only_for_two_zero_gradients_and_inf_when_not_finite():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    unused = Tensor(np.array([3.0]), requires_grad=True)  # both of its gradients are exactly 0
+    weight = Tensor(np.array([1.0, 1.0]))
+
+    def fn():
+        return ad.reduce(ad.mul(x, weight))
+
+    report = grad_check(fn, {"x": x, "unused": unused})
+    assert report.per_parameter_errors["unused"] == 0.0 and report.max_relative_error < 1e-8
+    weight.data[0] = math.nan  # every gradient is now NaN or compared with one
+    for params in ({"x": x, "unused": unused}, {"unused": unused, "x": x}):  # max() over a NaN is order-dependent
+        report = grad_check(fn, params)
+        assert report.per_parameter_errors == {"x": math.inf, "unused": math.inf}
+        assert report.max_relative_error == math.inf
+        assert "x: rel_err=inf" in report.format()
+
+
 def test_grad_check_report_of_the_gradcheck_model_is_unchanged():
     # recorded with the taped finite-difference forwards and the add -> layernorm pair
     # (numpy 2.4.6, OpenBLAS 0.3.31, x86_64); a cheap subset of criterion 1's parameters

@@ -1,5 +1,6 @@
 import ast
 import copy
+import csv
 import errno
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 from dataclasses import fields, replace
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +100,15 @@ def test_cmd_gradcheck_negative_seed_exits_1_before_any_check(capsys):
     code, stdout, err = run_cli(capsys, "gradcheck", "--seeds", "0,-1")
     assert code == 1 and stdout == ""
     assert "bad seed list '0,-1': seeds must be >= 0" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-05", "inf", "nan"])
+def test_cmd_gradcheck_bad_step_exits_1_before_any_check(capsys, monkeypatch, step):
+    # a zero step divides by zero; a NaN one makes every error NaN
+    monkeypatch.setattr("idea.cli.gradcheck_setup", lambda seed: pytest.fail("a check ran"))
+    code, stdout, err = run_cli(capsys, "gradcheck", "--seeds", "0", f"--step={step}")
+    assert code == 1 and stdout == ""
+    assert f"--step must be positive and finite, got {float(step)}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +368,7 @@ HEADER_DAMAGE = {
     "vocab-length": lambda h: with_vocab(h, lambda v: v[:-1]),
     "vocab-no-label-token": lambda h: with_vocab(h, lambda v: ["sports" if t == "sport" else t for t in v]),
     "zero-heads": lambda h: {**h, "encoder": {**h["encoder"], "n_heads": 0}},
-    "string-eps": lambda h: {**h, "encoder": {**h["encoder"], "layer_norm_eps": "x"}},
+    "string-dropout": lambda h: {**h, "encoder": {**h["encoder"], "dropout": "x"}},
     "bool-d": lambda h: {**h, "encoder": {**h["encoder"], "d": True}},
     "float-layers": lambda h: {**h, "encoder": {**h["encoder"], "n_layers": 2.0}},
     "empty-label-name": lambda h: {**h, "label_names": ["", *h["label_names"][1:]]},
@@ -394,6 +405,23 @@ def test_eval_bad_header_exits_1_before_reading_the_csv(trained_dir, tmp_path, c
     code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
     assert code == 1
     assert f"idea: error: {ckpt}: " in err and "/no/such.csv" not in err
+
+
+def test_eval_older_checkpoint_format_exits_1_asking_to_retrain(trained_dir, tmp_path, capsys):
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    ckpt = os.path.join(model_dir, "model.ckpt")
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    assert data[:8] == b"IDEACKP2"
+    # the older header also recorded gamma_mode and the encoder's ffn_dim and layer_norm_eps
+    old = with_header(data, lambda h: {**h, "gamma_mode": "per-sample", "encoder": {
+        **h["encoder"], "ffn_dim": 4 * h["encoder"]["d"], "layer_norm_eps": 1e-12}})
+    with open(ckpt, "wb") as fh:
+        fh.write(b"IDEACKP1" + old[8:])
+    code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
+    assert code == 1
+    assert err == (f"idea: error: {ckpt}: checkpoint format IDEACKP1 is older than this program's IDEACKP2; "
+                   "retrain the model\n")
 
 
 # one value of each JSON type; a field is replaced only by a value of another type
@@ -459,9 +487,77 @@ def test_damaged_checkpoint_exits_0_or_1_naming_it(fuzz_target, data):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["eval", "--model-dir", t.model_dir, "--test-csv", t.csv])
-    # a damaged value may still be a valid one (say, layer_norm_eps = 3): then eval runs
+    # a damaged value may still be a valid one (say, dropout = 0): then eval runs
     assert code in ((1,) if kind == "cut" else (0, 1)), err.getvalue()
     assert code == 0 or t.ckpt in err.getvalue(), err.getvalue()
+
+
+def run_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# commas, quotes and line breaks make the writer quote a field
+CSV_ROW = st.tuples(st.integers(0, 4), st.lists(st.text(alphabet='ab ,"\n', max_size=6), min_size=1, max_size=2))
+
+
+@settings(max_examples=150)
+@given(rows=st.lists(st.none() | CSV_ROW, min_size=1, max_size=6).filter(lambda rows: any(rows)),
+       line_end=st.sampled_from(["\n", "\r\n"]))
+def test_csv_rows_exit_0_or_1_naming_the_row(trained_dir, tmp_path_factory, rows, line_end):
+    """Class indexes 0 to 4 over 3 classes, LF or CRLF line ends, line breaks in quoted fields, blank lines (None)."""
+    text, line, bad = io.StringIO(), 1, None
+    writer = csv.writer(text, lineterminator=line_end)
+    for row in rows:
+        start = len(text.getvalue())
+        if row is None:
+            text.write(line_end)
+        else:
+            writer.writerow([row[0], *row[1]])
+            if bad is None and not 1 <= row[0] <= 3:
+                bad = f"{line}: class index {row[0]} out of range"
+        line += text.getvalue()[start:].count("\n")
+    path = str(tmp_path_factory.getbasetemp() / "rows.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text.getvalue())
+    code, out, err = run_quietly(["eval", "--model-dir", trained_dir, "--test-csv", path])
+    if bad is None:
+        assert (code, err) == (0, "") and f"test_n_samples={sum(r is not None for r in rows)}\n" in out
+    else:
+        assert (code, err) == (1, f"idea: error: {path}:{bad}\n")
+
+
+def wrong_json_type(action, value) -> bool:
+    """Whether the --config file must refuse value for the flag: only a string fits a string flag;
+    a number, or a string its type reads, fits a number flag."""
+    if isinstance(value, (bool, list, dict)):
+        return True
+    if action.type is None:
+        return not isinstance(value, str)
+    return value == "x" or (action.type is int and isinstance(value, float))
+
+
+TRAIN_FLAGS = build_parser().parse_args(["train"]).train_flags
+VALID_CONFIG = {"train_csv": "a.csv", "test_csv": "b.csv", "labels": "a,b", "epochs": 2, "lr": 1e-3, "d": 16,
+                "dropout": 0.2, "ablation": "no-abs-diff", "out": "run"}
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from([(key, value) for key in sorted(TRAIN_FLAGS)
+                             for value in (True, False, 3, 1.5, "x", [], ["a"], {}, {"a": 1})
+                             if wrong_json_type(TRAIN_FLAGS[key], value)]),
+       others=st.sets(st.sampled_from(sorted(VALID_CONFIG))), crlf=st.booleans())
+def test_config_value_of_a_wrong_json_type_exits_1_naming_the_key(tmp_path_factory, case, others, crlf):
+    key, value = case
+    config = {**{k: VALID_CONFIG[k] for k in sorted(others)}, key: value}
+    path = str(tmp_path_factory.getbasetemp() / "config.json")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(config, indent=1).replace("\n", "\r\n" if crlf else "\n"))
+    with mock.patch("idea.cli.train", lambda config, log=None: pytest.fail(f"{key}={value!r} reached train")):
+        code, _, err = run_quietly(["train", "--config", path])
+    assert code == 1 and f"idea: error: {path}: key {key!r}: invalid value {value!r}" in err, err
 
 
 def test_eval_max_len_beyond_checkpoint_exits_1(trained_dir, capsys):
@@ -529,7 +625,7 @@ def test_train_max_len_beyond_positions_exits_1(capsys):
 
 @pytest.mark.parametrize("flag, field", [
     ("--train-limit", "train_limit"), ("--test-limit", "test_limit"), ("--max-steps", "max_steps"),
-    ("--max-len", "max_len"),
+    ("--max-len", "max_len"), ("--min-freq", "min_freq"),
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, field, value):
@@ -537,6 +633,20 @@ def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, fiel
                            "--labels", "a,b", flag, value)
     assert code == 1
     assert f"TrainConfig.{field} must be >= 1, got {value}" in err and "/no/such.csv" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+    ("--d", "0", "d must be a positive integer, got 0"),
+    ("--n-layers", "0", "n_layers must be a positive integer, got 0"),
+    ("--n-heads", "3", "d=64 not divisible by n_heads=3"),
+])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_bad_encoder_setting_exits_1_before_reading_the_csv(capsys, command, flag, value, message):
+    code, _, err = run_cli(capsys, command, "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+                           "--labels", "a,b", flag, value)
+    assert code == 1
+    assert message in err and "/no/such.csv" not in err
 
 
 def test_train_negative_seed_exits_1_before_reading_the_csv(capsys):

@@ -158,7 +158,8 @@ def test_vocab_save_failure_keeps_previous_file(tmp_path):
     path = tmp_path / "vocab.txt"
     vocab.save(path)
     before = path.read_bytes()
-    broken = Vocab(vocab.token_to_id, vocab.id_to_token + [None])  # fails on the last line
+    broken = build_vocab([Document("x y z", 0)])
+    broken.id_to_token.append(None)  # fails on the last line
     with pytest.raises(TypeError):
         broken.save(path)
     assert path.read_bytes() == before
@@ -182,7 +183,7 @@ def test_vocab_load_rejects_missing_header(tmp_path):
 ], ids=["duplicate", "duplicate-special", "specials-out-of-order", "specials-missing", "non-string", "tuple"])
 def test_vocab_from_list_rejects(tokens, match):
     with pytest.raises(ValueError, match=match):
-        Vocab.from_list(tokens)
+        Vocab(tokens)
 
 
 def test_vocab_load_rejects_a_duplicate_token(tmp_path):
@@ -276,6 +277,25 @@ def test_load_csv_malformed_row_reports_line(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         load_csv(path)
     assert ":2:" in str(err.value)
+
+
+def test_load_csv_names_the_line_where_a_multi_line_row_starts(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('"1","two\nlines"\n\n"0","also\ntwo"\n')  # the bad row spans lines 4 and 5
+    with pytest.raises(CsvFormatError, match=f"^{path}:4: class index 0 out of range$"):
+        load_csv(path, num_classes=2)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b'"1","ok"\n"2","' + b"x" * 200_000 + b'"\n', ":2: field larger than field limit"),
+    (b'"1","ok"\n"2","caf\xe9"\n', ": not UTF-8 text \\(invalid continuation byte\\)"),
+], ids=["field-over-limit", "latin-1"])
+def test_load_csv_unreadable_file_raises_naming_it(tmp_path, data, match):
+    # the csv module's own error is no ValueError, and a decode error names no file
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    with pytest.raises(CsvFormatError, match=f"^{path}{match}"):
+        load_csv(path, num_classes=2)
 
 
 def test_load_csv_class_out_of_range(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
+from conftest import draw_normal_classifier
 from idea import autodiff as ad
 from idea.autodiff import DegenerateSliceError, ShapeError, Tensor, backward
 from idea.encoder import init_params
@@ -21,9 +22,12 @@ from idea.head import (
 
 
 def classifier_params(z_width, n_classes, rng, init="zeros"):
-    """clf.W and clf.b from the head's parameter table, drawn from rng."""
-    specs = [spec for spec in param_specs(1, z_width, n_classes, init) if spec[0].startswith("clf.")]
-    return init_params(specs, rng, np.float64)
+    """clf.W and clf.b from the head's parameter table; init="normal" draws clf.W from rng."""
+    specs = [spec for spec in param_specs(1, z_width, n_classes) if spec[0].startswith("clf.")]
+    params = init_params(specs, rng, np.float64)
+    if init == "normal":
+        draw_normal_classifier(params, rng)
+    return params
 
 
 def make_params(rng, d, zero=False):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idea.model
+from conftest import draw_normal_classifier
 from idea import autodiff as ad
 from idea.autodiff import Tensor, backward
 from idea.data import Document, LabelSet, Vocab, build_vocab, make_batches
@@ -27,11 +28,10 @@ def build_model(seed=0, dtype=np.float64, d=8, ablation="full", n_layers=2,
     vocab = build_vocab(docs, labels=labels)
     cfg = EncoderConfig(vocab_size=len(vocab), d=d, n_layers=n_layers, n_heads=2,
                         max_positions=32, dropout=dropout)
-    model = IdeaModel.build(
-        cfg, labels, vocab,
-        ablation=AblationConfig(ablation), dtype=dtype,
-        rng=np.random.default_rng(seed), classifier_init=classifier_init,
-    )
+    rng = np.random.default_rng(seed)
+    model = IdeaModel.build(cfg, labels, vocab, ablation=AblationConfig(ablation), dtype=dtype, rng=rng)
+    if classifier_init == "normal":
+        draw_normal_classifier(model.params, rng)
     return model, vocab
 
 
@@ -303,6 +303,18 @@ def test_frozen_model_rejects_a_training_forward(rng):
         model.frozen().forward(batch.token_ids, batch.pad_mask, training=True, rng=np.random.default_rng(0))
 
 
+def test_checkpoint_header_records_the_format_version_and_only_what_varies(tmp_path):
+    model, _ = build_model(dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    data = path.read_bytes()
+    header = json.loads(data[16:16 + int.from_bytes(data[8:16], "little")])
+    assert data[:8] == b"IDEACKP2"
+    assert sorted(header) == ["ablation", "crc32", "encoder", "label_names", "params", "vocab"]
+    assert sorted(header["encoder"]) == ["backend", "d", "dropout", "max_positions", "n_heads", "n_layers",
+                                         "vocab_size"]
+
+
 def test_checkpoint_rejects_a_damaged_body(tmp_path):
     model, _ = build_model(dtype=np.float32, classifier_init="normal")
     path = tmp_path / "model.ckpt"
@@ -363,7 +375,6 @@ def replaced(tokens: list, old: str, new) -> list:
     (lambda h: {**{k: v for k, v in h.items() if k != "vocab"}, "label_ids": [2, 13, 16, 14, 16, 15, 3],
                 "label_spans": [[1, 2], [3, 4], [5, 6]]}, "lacks key 'vocab'"),
     (lambda h: {k: v for k, v in h.items() if k != "crc32"}, "lacks key 'crc32'"),
-    (lambda h: {**h, "gamma_mode": "per-batch-literal"}, "unknown gamma mode 'per-batch-literal'"),
     (lambda h: {**h, "encoder": {**h["encoder"], "backend": "bag-of-embeddings"}},
      "unknown encoder backend 'bag-of-embeddings'"),
     (lambda h: with_params(h, h["params"][:-1] + [{"name": "clf.bias", "shape": [3]}]),
@@ -382,7 +393,7 @@ def replaced(tokens: list, old: str, new) -> list:
     (lambda h: with_vocab(h, lambda v: v + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
     (lambda h: with_vocab(h, lambda v: replaced(v, "finance", "finances")),
      "vocab lacks the label tokens \\['finance'\\]"),
-], ids=["not-json", "not-utf8", "missing-key", "no-crc32", "gamma-mode", "backend", "renamed", "string-shape",
+], ids=["not-json", "not-utf8", "missing-key", "no-crc32", "backend", "renamed", "string-shape",
         "swapped", "missing-param", "extra-param", "vocab-duplicate", "vocab-no-specials", "vocab-string",
         "vocab-non-string", "vocab-length", "vocab-no-label-token"])
 def test_checkpoint_rejects_bad_header(tmp_path, edit, match):
@@ -412,7 +423,7 @@ def _old_init(encoder_config, n_classes, z_width, rng, dtype, classifier_init):
     def normal(*shape, std=0.02):
         return rng.normal(0.0, std, size=shape).astype(dtype)
 
-    d, f = encoder_config.d, encoder_config.ffn_dim
+    d, f = encoder_config.d, 4 * encoder_config.d
     params = {
         "token_emb": normal(encoder_config.vocab_size, d),
         "pos_emb": normal(encoder_config.max_positions, d),
@@ -472,10 +483,10 @@ def test_parameter_table_reproduces_the_old_init(dtype, classifier_init, ablatio
      "label name 1 must be a string with at least one token, got ''"),
     ("label_names", lambda v: ["sport", "finance", " \t"], "label name 2 must be a string"),
     ("label_names", lambda v: [7, "finance", "science"], "label name 0 must be a string"),
-    ("vocab", lambda v: Vocab.from_list(v.id_to_token + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
-    ("vocab", lambda v: Vocab.from_list(v.id_to_token[:-2] + ["extra", "more"]),
+    ("vocab", lambda v: Vocab(v.id_to_token + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
+    ("vocab", lambda v: Vocab(v.id_to_token[:-2] + ["extra", "more"]),
      "vocab lacks the label tokens \\[',', 'science'\\]"),
-    ("vocab", lambda v: Vocab.from_list(replaced(v.id_to_token, ",", ";")), "vocab lacks the label tokens \\[','\\]"),
+    ("vocab", lambda v: Vocab(replaced(v.id_to_token, ",", ";")), "vocab lacks the label tokens \\[','\\]"),
 ], ids=["empty-name", "blank-name", "int-name", "vocab-too-long", "vocab-lacks-name-token", "vocab-lacks-comma"])
 def test_model_rejects_bad_label_fields(field, edit, match):
     model, vocab = build_model()
