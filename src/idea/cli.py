@@ -260,6 +260,8 @@ def _load_model_and_batches(ns, csv_path, limit):
             f"= {enc.max_positions - 2} of {ckpt}"
         )
     docs = load_csv(csv_path, model.n_classes)
+    if not docs:
+        raise ValueError(f"{ns.command}: {csv_path} holds no documents")
     if limit is not None:
         docs = stratified_sample(docs, limit, ns.seed)
     return model, len(docs), make_batches(docs, model.vocab, ns.batch_size, max_len=ns.max_len)
@@ -275,6 +277,8 @@ def cmd_eval(ns) -> int:
 def cmd_ablate(ns) -> int:
     base = _train_config(ns)
     seeds = _parse_seeds(ns.seeds)
+    if base.out_dir:  # before the first training, so an --out that is a file fails at once
+        os.makedirs(base.out_dir, exist_ok=True)
     accs: dict[str, list[float]] = {}
     for mode in ABLATION_MODES:
         accs[mode] = []
@@ -303,7 +307,6 @@ def cmd_ablate(ns) -> int:
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     if base.out_dir:
-        os.makedirs(base.out_dir, exist_ok=True)
         table_path = os.path.join(base.out_dir, "ablation.tsv")
         with atomic_open(table_path, "w", encoding="utf-8") as fh:
             for row in rows:

@@ -145,6 +145,8 @@ def build_vocab(
     """
     if min_freq < 1:
         raise ValueError(f"build_vocab: min_freq must be >= 1, got {min_freq}")
+    if max_size is not None and max_size <= len(SPECIAL_TOKENS):  # no corpus token would fit
+        raise ValueError(f"build_vocab: max_size must be > {len(SPECIAL_TOKENS)}, got {max_size}")
     counts: Counter[str] = Counter()
     n_docs = 0
     for doc in corpus:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict
@@ -33,9 +34,9 @@ class IdeaModel:
     The vocabulary and the label sequence it encodes are fixed at
     construction; every forward pass encodes that sequence once and
     broadcasts it across the batch. A frozen model (from load or frozen())
-    only infers: its parameter arrays are read-only and need no gradient, so
-    a forward records no tape, and it keeps its label sequence's encoding
-    while every parameter is the read-only array it was encoded from.
+    only infers: its parameters are views of one read-only array and need no
+    gradient, so a forward records no tape, and it keeps its label sequence's
+    encoding while every parameter is the read-only array it was encoded from.
     """
 
     def __init__(
@@ -147,16 +148,25 @@ class IdeaModel:
         return None
 
     def frozen(self) -> "IdeaModel":
-        """An inference copy with read-only parameter copies; self if already frozen."""
+        """An inference copy whose parameters are views of one read-only array; self if already frozen."""
         if self.is_frozen:
             return self
         model = type(self)(
             self.encoder_config, self.label_names, self.vocab, ablation=self.ablation,
-            gamma_mode=self.gamma_mode, dtype=self.dtype,
-            params={name: _read_only(p.data.copy()) for name, p in self.params.items()},
+            gamma_mode=self.gamma_mode, dtype=self.dtype, params={},
         )
-        model.is_frozen = True
-        return model
+        return model._freeze(np.concatenate([self.params[name].data.ravel() for name, _, _ in self.param_specs()]))
+
+    def _freeze(self, flat: np.ndarray) -> "IdeaModel":
+        """Make flat, every parameter in param_specs order, this model's read-only parameters; mark it frozen."""
+        flat.setflags(write=False)  # flat owns its memory, so no view of it can be made writable again
+        self.params, start = {}, 0
+        for name, shape, _ in self.param_specs():
+            end = start + math.prod(shape)
+            self.params[name] = Tensor(flat[start:end].reshape(shape))
+            start = end
+        self.is_frozen = True
+        return self
 
     def loss(
         self,
@@ -172,14 +182,11 @@ class IdeaModel:
 
     def save(self, path) -> None:
         """Named parameters as raw little-endian float32, after a JSON header with their CRC-32."""
-        body = [np.ascontiguousarray(p.data, dtype="<f4") for p in self.params.values()]
-        crc = 0
-        for arr in body:
-            crc = zlib.crc32(arr, crc)
+        body = np.concatenate([p.data.ravel() for p in self.params.values()], dtype="<f4", casting="unsafe")
         header = {
             "encoder": asdict(self.encoder_config),
             "ablation": self.ablation.mode,
-            "crc32": crc,
+            "crc32": zlib.crc32(body),
             "label_names": self.label_names,
             "vocab": self.vocab.id_to_token,
             "params": [
@@ -191,13 +198,11 @@ class IdeaModel:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
-            for arr in body:
-                fh.write(arr)
+            fh.write(body)
 
     @classmethod
     def load(cls, path, dtype=np.float32) -> "IdeaModel":
         """A frozen model from a checkpoint written by save; any damage raises a ValueError naming the file."""
-        params: dict[str, Tensor] = {}
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic == b"IDEACKP1":  # its header also recorded gamma_mode and two encoder constants
@@ -217,7 +222,7 @@ class IdeaModel:
                     Vocab(header["vocab"]),
                     ablation=AblationConfig(header["ablation"]),
                     dtype=dtype,
-                    params=params,
+                    params={},
                 )
                 specs = model.param_specs()
                 _check_param_list(header["params"], specs)
@@ -226,24 +231,18 @@ class IdeaModel:
                 raise ValueError(f"{path}: checkpoint header lacks key {exc}") from None
             except (TypeError, ValueError) as exc:  # also bad UTF-8 or JSON, a rejected value
                 raise ValueError(f"{path}: bad checkpoint header: {exc}") from None
-            crc = 0
-            for name, shape, _ in specs:
-                n = int(np.prod(shape))
-                buf = fh.read(4 * n)
-                if len(buf) < 4 * n:
-                    raise ValueError(
-                        f"{path}: truncated checkpoint: parameter {name} needs "
-                        f"{4 * n} bytes, found {len(buf)}"
-                    )
-                crc = zlib.crc32(buf, crc)
-                params[name] = _read_only(np.frombuffer(buf, dtype="<f4").reshape(shape).astype(dtype))
-            if fh.read(1):
-                raise ValueError(f"{path}: trailing bytes after the last parameter")
+            n = sum(math.prod(shape) for _, shape, _ in specs)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != 4 * n:  # before the body is allocated, however large the header says it is
+                raise ValueError(f"{path}: {'truncated' if left < 4 * n else 'trailing bytes in'} checkpoint: "
+                                 f"the header's parameters need {4 * n} bytes, found {left}")
+            body = np.empty(n, dtype="<f4")
+            fh.readinto(body)
+        crc = zlib.crc32(body)
         if crc != want_crc:
             raise ValueError(f"{path}: damaged checkpoint: parameter bytes have CRC-32 {crc}, "
                              f"the header records {want_crc!r}")
-        model.is_frozen = True
-        return model
+        return model._freeze(body.astype(dtype, copy=False))
 
     def copy_param_data(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -251,12 +250,6 @@ class IdeaModel:
     def load_param_data(self, snapshot: dict[str, np.ndarray]) -> None:
         for name, arr in snapshot.items():
             self.params[name].data[...] = arr
-
-
-def _read_only(arr: np.ndarray) -> Tensor:
-    """A parameter that needs no gradient and raises on an in-place write."""
-    arr.setflags(write=False)
-    return Tensor(arr)
 
 
 def _check_param_list(listed, specs: list[ParamSpec]) -> None:

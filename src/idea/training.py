@@ -11,6 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward
 from .data import (
+    SPECIAL_TOKENS,
     Batch,
     LabelSet,
     Vocab,
@@ -80,6 +81,9 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
+        if self.vocab_max_size is not None and self.vocab_max_size <= len(SPECIAL_TOKENS):
+            raise ValueError(f"TrainConfig.vocab_max_size must be > {len(SPECIAL_TOKENS)} (the special tokens), "
+                             f"got {self.vocab_max_size}")
         if self.max_len > self.max_positions - 2:  # [CLS] and [SEP] take two positions
             raise ValueError(
                 f"TrainConfig.max_len {self.max_len} exceeds max_positions - 2 "
@@ -291,8 +295,13 @@ def train(config: TrainConfig, log=print) -> RunResult:
     for path in (config.train_csv, config.test_csv):
         if not os.path.exists(path):
             raise FileNotFoundError(f"train: dataset file not found: {path}")
+    if config.out_dir:  # before any CSV is read, so an --out that is a file fails at once
+        os.makedirs(config.out_dir, exist_ok=True)
     train_docs = load_csv(config.train_csv, n_cls)
     test_docs = load_csv(config.test_csv, n_cls)
+    for path, docs in ((config.train_csv, train_docs), (config.test_csv, test_docs)):
+        if not docs:
+            raise ValueError(f"train: {path} holds no documents")
     if config.train_limit is not None:
         train_docs = stratified_sample(train_docs, config.train_limit, _derive_seed(config.seed, 1))
     if config.test_limit is not None:
@@ -315,8 +324,7 @@ def train(config: TrainConfig, log=print) -> RunResult:
 
     val_metrics: list[Metrics] = []
     epoch_seconds: list[float] = []
-    best: tuple[float, int] | None = None  # (accuracy, epoch index)
-    best_snapshot = None
+    best: tuple[float, int, IdeaModel] | None = None  # (accuracy, epoch index, that epoch's frozen model)
     stats = None  # the previous step's, whose pre-clip norm a non-finite loss names
     stop = False
     for epoch in range(1, config.epochs + 1):
@@ -343,12 +351,12 @@ def train(config: TrainConfig, log=print) -> RunResult:
             if config.max_steps is not None and opt.t >= config.max_steps:
                 stop = True
                 break
-        metrics = evaluate(model.frozen(), val_batches)
+        frozen = model.frozen()
+        metrics = evaluate(frozen, val_batches)
         val_metrics.append(metrics)
         epoch_seconds.append(time.perf_counter() - t0)
         if best is None or metrics.accuracy > best[0]:
-            best = (metrics.accuracy, len(val_metrics))
-            best_snapshot = model.copy_param_data()
+            best = (metrics.accuracy, len(val_metrics), frozen)
         log(
             f"epoch {epoch}: train_loss={loss_sum / max(1, loss_count):.4f} "
             f"val_acc={metrics.accuracy:.4f} ({epoch_seconds[-1]:.1f}s)"
@@ -356,19 +364,17 @@ def train(config: TrainConfig, log=print) -> RunResult:
         if stop:
             break
 
-    model.load_param_data(best_snapshot)
-    test_metrics = evaluate(model.frozen(), test_batches)
+    _, selected_epoch, best_model = best
     result = RunResult(
         seed=config.seed,
         val_metrics=val_metrics,
-        test_metrics=test_metrics,
-        selected_epoch=best[1],
+        test_metrics=evaluate(best_model, test_batches),
+        selected_epoch=selected_epoch,
         epoch_seconds=epoch_seconds,
     )
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         vocab.save(os.path.join(config.out_dir, "vocab.txt"))
-        model.save(os.path.join(config.out_dir, "model.ckpt"))
+        best_model.save(os.path.join(config.out_dir, "model.ckpt"))
         with atomic_open(os.path.join(config.out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(result.report())
         with atomic_open(os.path.join(config.out_dir, "timing.txt"), "w", encoding="utf-8") as fh:

@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
@@ -21,8 +23,10 @@ from hypothesis import strategies as st
 
 import idea
 from idea.cli import _FIELD_NAMES, DATASETS, build_parser, gradcheck_setup, main
-from idea.data import load_csv
-from idea.head import ABLATION_MODES
+from idea.data import Vocab, load_csv
+from idea.encoder import EncoderConfig
+from idea.head import ABLATION_MODES, AblationConfig
+from idea.model import IdeaModel
 from idea.training import TrainConfig
 
 
@@ -173,6 +177,9 @@ test_class_2_fn=0
 """
 
 
+FIXED_SEED_CKPT_SHA256 = "b4b6e29f54e05a249a408e8c1b5248163e83f7c7a75e902f740ad9eef098d445"
+
+
 def test_fixed_seed_run_matches_recorded_outputs(tmp_path, capsys):
     """make-synthetic seeds 0 and 1 (300 and 90 docs), then train 2 epochs at seed 0, then eval.
 
@@ -180,8 +187,9 @@ def test_fixed_seed_run_matches_recorded_outputs(tmp_path, capsys):
     DYNAMIC_ARCH picking Haswell kernels) on x86_64, with 1 and 2 BLAS threads alike.
     Another CPU's kernels may round differently and move a 4-decimal loss. A change
     that moves these values on purpose records the new literals and says why in
-    CHANGES.md. model.ckpt is not pinned: a legitimate GEMM reordering moves
-    parameters by about 7.5e-9 while every value below stays.
+    CHANGES.md. model.ckpt is pinned by its sha256, so a change to how train keeps
+    or saves the selected epoch shows here; a legitimate GEMM reordering moves
+    parameters by about 7.5e-9 and so this digest, while every other value stays.
     """
     train_csv, test_csv, out = str(tmp_path / "train.csv"), str(tmp_path / "test.csv"), str(tmp_path / "run")
     assert main(["make-synthetic", "--out", train_csv, "--docs", "300", "--seed", "0"]) == 0
@@ -193,6 +201,8 @@ def test_fixed_seed_run_matches_recorded_outputs(tmp_path, capsys):
     assert re.sub(r" \(\d+\.\ds\)$", "", stdout, flags=re.M) == FIXED_SEED_EPOCHS + FIXED_SEED_METRICS
     with open(os.path.join(out, "metrics.txt"), "rb") as fh:
         assert fh.read() == FIXED_SEED_METRICS.encode("utf-8")
+    with open(os.path.join(out, "model.ckpt"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == FIXED_SEED_CKPT_SHA256
     code, stdout, _ = run_cli(capsys, "eval", "--model-dir", out, "--test-csv", test_csv)
     assert code == 0
     assert stdout == "".join(line for line in FIXED_SEED_METRICS.splitlines(True) if line.startswith("test_"))
@@ -269,6 +279,55 @@ def test_export_features_with_empty_document_exits_0(cli_corpus, trained_dir, tm
     lines = open(tsv).read().splitlines()
     assert len(lines) == 91
     assert lines[-1].split("\t")[0] == "1"
+
+
+def empty_csv(tmp_path) -> str:
+    path = str(tmp_path / "empty.csv")
+    open(path, "w").close()
+    return path
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_train_on_an_empty_csv_exits_1_naming_it(cli_corpus, tmp_path, capsys, empty):
+    paths = {**cli_corpus, empty: empty_csv(tmp_path)}
+    code, stdout, err = run_cli(capsys, "train", "--train-csv", paths["train"], "--test-csv", paths["test"],
+                                "--labels", "sport,finance,science", "--epochs", "1", *FAST)
+    assert code == 1 and stdout == ""
+    assert err == f"idea: error: train: {paths[empty]} holds no documents\n"
+
+
+def test_eval_on_an_empty_csv_exits_1_naming_it(trained_dir, tmp_path, capsys):
+    path = empty_csv(tmp_path)
+    code, stdout, err = run_cli(capsys, "eval", "--model-dir", trained_dir, "--test-csv", path)
+    assert code == 1 and stdout == ""
+    assert err == f"idea: error: eval: {path} holds no documents\n"
+
+
+def test_export_features_on_an_empty_csv_exits_1_naming_it(trained_dir, tmp_path, capsys):
+    path, tsv = empty_csv(tmp_path), str(tmp_path / "features.tsv")
+    code, stdout, err = run_cli(capsys, "export-features", "--model-dir", trained_dir, "--csv", path, "--out", tsv)
+    assert code == 1 and stdout == ""
+    assert err == f"idea: error: export-features: {path} holds no documents\n"
+    assert not os.path.exists(tsv)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_out_path_that_is_a_file_exits_1_before_training(cli_corpus, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    code, stdout, err = run_cli(capsys, command, "--train-csv", cli_corpus["train"], "--test-csv",
+                                cli_corpus["test"], "--labels", "sport,finance,science", "--epochs", "1",
+                                "--out", str(out), *FAST, *(["--seeds", "0"] if command == "ablate" else []))
+    assert code == 1 and str(out) in err
+    assert stdout == ""  # no epoch line, no "#" run line, no table
+    assert out.read_text() == "not a directory\n"
+    out.unlink()
+    out.mkdir()  # an existing directory keeps working
+    code, _, err = run_cli(capsys, command, "--train-csv", cli_corpus["train"], "--test-csv",
+                           cli_corpus["test"], "--labels", "sport,finance,science", "--epochs", "1",
+                           "--out", str(out), *FAST, *(["--seeds", "0"] if command == "ablate" else []))
+    assert code == 0, err
+    assert (out / ("model.ckpt" if command == "train" else "ablation.tsv")).exists()
 
 
 @pytest.fixture()
@@ -424,6 +483,32 @@ def test_eval_older_checkpoint_format_exits_1_asking_to_retrain(trained_dir, tmp
                    "retrain the model\n")
 
 
+def test_eval_header_describing_a_huge_model_exits_1_without_allocating_its_body(trained_dir, tmp_path, capsys):
+    """d = 2**20 and a params list to match: about 52 TiB of float32 that the file does not hold."""
+    model_dir = copy_model_dir(trained_dir, tmp_path)
+    ckpt = os.path.join(model_dir, "model.ckpt")
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+
+    def huge(h):
+        encoder = {**h["encoder"], "d": 2**20}
+        model = IdeaModel(EncoderConfig(**encoder), h["label_names"], Vocab(h["vocab"]),
+                          ablation=AblationConfig(h["ablation"]), params={})
+        return {**h, "encoder": encoder,
+                "params": [{"name": name, "shape": list(shape)} for name, shape, _ in model.param_specs()]}
+
+    with open(ckpt, "wb") as fh:
+        fh.write(with_header(data, huge))
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "eval", "--model-dir", model_dir, "--test-csv", "/no/such.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and err.startswith(f"idea: error: {ckpt}: truncated checkpoint")
+    assert peak < 2**25  # the header and an empty model, never the body
+
+
 # one value of each JSON type; a field is replaced only by a value of another type
 FUZZ_VALUES = [None, True, 0, -1, 3, 1.5, "", "x", [], [0], {}, {"x": 0}]
 
@@ -470,13 +555,15 @@ def fuzz_target(cli_corpus, trained_dir, tmp_path_factory):
 @given(st.data())
 def test_damaged_checkpoint_exits_0_or_1_naming_it(fuzz_target, data):
     t = fuzz_target
-    kind = data.draw(st.sampled_from(["field", "cut", "flip"]))
+    kind = data.draw(st.sampled_from(["field", "cut", "flip", "append"]))
     if kind == "field":
         path, value = data.draw(st.sampled_from([(p, v) for p in header_fields(t.header) for v in FUZZ_VALUES
                                                  if type(v) is not type(get_field(t.header, p))]))
         damaged = with_header(t.data, lambda h: set_field(h, path, value))
     elif kind == "cut":
         damaged = t.data[:data.draw(st.sampled_from([0, *t.ends]))]
+    elif kind == "append":  # junk after the body
+        damaged = t.data + data.draw(st.binary(min_size=1, max_size=64))
     else:
         start, stop = data.draw(st.sampled_from([(0, 16), (16, t.ends[2]), (t.ends[2], len(t.data))]))
         pos = data.draw(st.integers(start, stop - 1))  # in magic and size, the JSON header, or the body
@@ -488,7 +575,7 @@ def test_damaged_checkpoint_exits_0_or_1_naming_it(fuzz_target, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["eval", "--model-dir", t.model_dir, "--test-csv", t.csv])
     # a damaged value may still be a valid one (say, dropout = 0): then eval runs
-    assert code in ((1,) if kind == "cut" else (0, 1)), err.getvalue()
+    assert code in ((1,) if kind in ("cut", "append") else (0, 1)), err.getvalue()
     assert code == 0 or t.ckpt in err.getvalue(), err.getvalue()
 
 
@@ -654,6 +741,24 @@ def test_train_negative_seed_exits_1_before_reading_the_csv(capsys):
                            "--labels", "a,b", "--seed", "-1")
     assert code == 1
     assert "TrainConfig.seed must be >= 0, got -1" in err and "/no/such.csv" not in err
+
+
+@pytest.mark.parametrize("value", ["4", "0", "-5"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_vocab_cap_with_no_room_for_a_corpus_token_exits_1_before_reading_the_csv(capsys, command, value):
+    code, _, err = run_cli(capsys, command, "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+                           "--labels", "a,b", "--vocab-max-size", value)
+    assert code == 1
+    assert f"TrainConfig.vocab_max_size must be > 4 (the special tokens), got {value}" in err
+    assert "/no/such.csv" not in err
+
+
+def test_vocab_cap_of_five_trains(cli_corpus, capsys):
+    code, stdout, err = run_cli(capsys, "train", "--train-csv", cli_corpus["train"], "--test-csv",
+                                cli_corpus["test"], "--labels", "sport,finance,science", "--epochs", "1",
+                                "--vocab-max-size", "5", *FAST)
+    assert code == 0, err
+    assert "test_accuracy=" in stdout
 
 
 @pytest.mark.parametrize("command, csv_flag, flag", [

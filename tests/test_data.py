@@ -82,6 +82,12 @@ def test_build_vocab_label_tokens_survive_min_freq_and_cap():
     assert vocab.encode_token("bb") == UNK
 
 
+@pytest.mark.parametrize("max_size", [4, 0, -5])
+def test_build_vocab_rejects_a_cap_with_no_room_for_a_corpus_token(max_size):
+    with pytest.raises(ValueError, match=f"build_vocab: max_size must be > 4, got {max_size}"):
+        build_vocab([Document("aa bb", 0)], max_size=max_size, labels=LabelSet(["aa"]))
+
+
 def test_build_vocab_frequency_then_lexicographic_order():
     docs = [Document("b b a a c", 0)]
     vocab = build_vocab(docs)

@@ -296,6 +296,27 @@ def test_frozen_model_follows_rebound_and_reopened_parameters(rng):
     assert_matches_a_trainable_model()
 
 
+@pytest.mark.parametrize("source", ["frozen", "load-float32", "load-float64"])
+def test_frozen_parameters_are_views_of_one_read_only_array(tmp_path, source):
+    model, _ = build_model(dtype=np.float32, classifier_init="normal")
+    if source == "frozen":
+        frozen = model.frozen()
+    else:
+        model.save(tmp_path / "model.ckpt")
+        frozen = IdeaModel.load(tmp_path / "model.ckpt", dtype=np.float64 if source == "load-float64" else np.float32)
+    flat = frozen.params["token_emb"].data.base
+    assert flat.ndim == 1 and flat.size == sum(p.data.size for p in frozen.params.values())
+    assert not flat.flags.writeable and flat.dtype == frozen.dtype
+    start = 0
+    for name, p in frozen.params.items():  # laid out in param_specs order, back to back
+        assert p.data.base is flat and not p.requires_grad, name
+        np.testing.assert_array_equal(p.data.ravel(), flat[start:start + p.data.size])
+        np.testing.assert_array_equal(p.data, model.params[name].data)
+        start += p.data.size
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            p.data.setflags(write=True)
+
+
 def test_frozen_model_rejects_a_training_forward(rng):
     model, vocab = build_model()
     batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]

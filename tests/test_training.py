@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from types import SimpleNamespace
@@ -398,6 +399,31 @@ def test_train_selected_epoch_is_argmax(synthetic_corpus):
     assert accs.index(max(accs)) + 1 == res.selected_epoch  # earliest tie wins
 
 
+def test_train_saves_and_tests_the_selected_epoch_when_it_is_not_the_last(synthetic_corpus, tmp_path, monkeypatch):
+    """Validation accuracies patched to 1.0 then 0.0 select epoch 1 of 2."""
+    calls = []  # (model, batches, metrics) per evaluate call: two validations, then the test
+
+    def patched(model, batches):
+        metrics = evaluate(model, batches)
+        if len(calls) < 2:
+            metrics = dataclasses.replace(metrics, accuracy=1.0 - len(calls))
+        calls.append((model, batches, metrics))
+        return metrics
+
+    monkeypatch.setattr("idea.training.evaluate", patched)
+    out = str(tmp_path / "run")
+    res = train(_fast_config(synthetic_corpus, out_dir=out), log=lambda m: None)
+    (epoch_1, val_batches, _), (epoch_2, _, _), (tested, test_batches, test_metrics) = calls
+    assert res.selected_epoch == 1 and [m.accuracy for m in res.val_metrics] == [1.0, 0.0]
+    assert test_batches is not val_batches and res.test_metrics is test_metrics
+    loaded = IdeaModel.load(os.path.join(out, "model.ckpt"))
+    assert list(loaded.params) == list(epoch_1.params) == list(tested.params)
+    for name, p in epoch_1.params.items():
+        want = p.data.tobytes()
+        assert tested.params[name].data.tobytes() == want and loaded.params[name].data.tobytes() == want, name
+    assert any(p.data.tobytes() != epoch_1.params[name].data.tobytes() for name, p in epoch_2.params.items())
+
+
 def test_train_writes_artifacts(synthetic_corpus, tmp_path):
     out = str(tmp_path / "run")
     res = train(_fast_config(synthetic_corpus, out_dir=out), log=lambda m: None)
@@ -515,6 +541,13 @@ def test_train_config_validation():
         for value in (0, -3):
             with pytest.raises(ValueError, match=f"TrainConfig.{field} must be >= 1, got {value}"):
                 TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [4, 0, -5])
+def test_train_config_rejects_a_vocab_cap_with_no_room_for_a_corpus_token(value):
+    TrainConfig(vocab_max_size=5)
+    with pytest.raises(ValueError, match=f"TrainConfig.vocab_max_size must be > 4 .*, got {value}"):
+        TrainConfig(vocab_max_size=value)
 
 
 def test_train_config_rejects_max_len_beyond_positions():
