@@ -62,15 +62,12 @@ class Lineage:
 
 
 class Tensor:
-    """Dense real tensor with a gradient buffer and optional lineage."""
+    """Dense floating-point tensor with a gradient buffer and optional lineage."""
 
     __slots__ = ("data", "_grad", "requires_grad", "lineage")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data)
         self._grad: np.ndarray | None = None  # allocated on first touch, reads as zeros
         self.requires_grad = requires_grad
         self.lineage: Lineage | None = None
@@ -90,19 +87,12 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     def zero_grad(self):
         if self._grad is not None:
             self._grad[...] = 0
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _needs_grad(inputs) -> bool:

@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 from dataclasses import replace
 
@@ -16,15 +17,7 @@ from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches
 from .encoder import INIT_STD, EncoderConfig
 from .head import ABLATION_MODES
 from .model import IdeaModel
-from .training import (
-    NonFiniteLossError,
-    TrainConfig,
-    evaluate,
-    export_features,
-    sample_var,
-    train,
-    welch_t_test,
-)
+from .training import TrainConfig, evaluate, export_features, train, welch_t_test
 
 # preset -> (label names in class order, default epoch count)
 DATASETS = {
@@ -294,7 +287,7 @@ def cmd_ablate(ns) -> int:
         xs = accs[mode]
         n = len(xs)
         mean = sum(xs) / n
-        std = math.sqrt(sample_var(xs)) if n > 1 else 0.0
+        std = statistics.stdev(xs) if n > 1 else 0.0
         stderr = std / math.sqrt(n)
         if n > 1:
             res = welch_t_test(xs, accs["full"])
@@ -410,6 +403,9 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValueError("empty seed list")
     if min(seeds) < 0:
         raise ValueError(f"bad seed list {text!r}: seeds must be >= 0")
+    for i, seed in enumerate(seeds):  # a repeat would compare copies of one run
+        if seed in seeds[:i]:
+            raise ValueError(f"bad seed list {text!r}: seed {seed} repeats")
     return seeds
 
 
@@ -423,10 +419,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"idea: error: {exc}", file=sys.stderr)
         return 1
-    except NonFiniteLossError as exc:
-        print(f"idea: runtime failure: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a NonFiniteLossError from training among them
         print(f"idea: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -194,8 +194,6 @@ def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], li
     ids = [CLS]
     spans: list[tuple[int, int]] = []
     for i, toks in enumerate(labels.name_tokens()):
-        if not toks:
-            raise ValueError(f"encode_label_sequence: label {i} has no tokens")
         if i > 0:
             ids.append(vocab.encode_token(","))
         start = len(ids)

@@ -78,12 +78,8 @@ def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype=np.float
     for name, shape, init in specs:
         if init == "normal":
             data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-        elif init == "zeros":
-            data = np.zeros(shape, dtype=dtype)
-        elif init == "ones":
-            data = np.ones(shape, dtype=dtype)
-        else:
-            raise ValueError(f"unknown initializer {init!r} for parameter {name}")
+        else:  # "zeros" or "ones"
+            data = np.full(shape, init == "ones", dtype=dtype)
         params[name] = Tensor(data, requires_grad=True)
     return params
 

@@ -58,9 +58,9 @@ def generate_rows(
     a keyword from a different class instead of the document's own.
     """
     if n_classes < 2:
-        raise ValueError("generate_rows: need at least 2 classes")
+        raise ValueError(f"generate_rows: need at least 2 classes, got {n_classes}")
     if n_docs < n_classes:
-        raise ValueError("generate_rows: need at least one document per class")
+        raise ValueError(f"generate_rows: {n_docs} documents for {n_classes} classes; need one per class")
     names = list(label_names) if label_names is not None else default_label_names(n_classes)
     if len(names) != n_classes:
         raise ValueError(f"generate_rows: {len(names)} label names for {n_classes} classes")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -69,17 +70,13 @@ class TrainConfig:
         # NaN fails every comparison; a NaN or inf rate would end training at its first step
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"TrainConfig.learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size <= 0:
-            raise ValueError("TrainConfig.batch_size must be positive")
         if not 0 <= self.lambda_l2 < math.inf:
             raise ValueError(f"TrainConfig.lambda_l2 must be >= 0 and finite, got {self.lambda_l2}")
-        if self.epochs < 1:
-            raise ValueError("TrainConfig.epochs must be >= 1")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
-        for name in ("train_limit", "test_limit", "max_steps", "max_len", "min_freq"):  # None means no limit
+        for name in ("epochs", "batch_size", "train_limit", "test_limit", "max_steps", "max_len", "min_freq"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and value < 1:  # None means no limit
                 raise ValueError(f"TrainConfig.{name} must be >= 1, got {value}")
         if self.vocab_max_size is not None and self.vocab_max_size <= len(SPECIAL_TOKENS):
             raise ValueError(f"TrainConfig.vocab_max_size must be > {len(SPECIAL_TOKENS)} (the special tokens), "
@@ -393,7 +390,8 @@ class WelchResult:
 def welch_t_test(sample_a, sample_b) -> WelchResult:
     """Unequal-variance two-sample t-test.
 
-    t = (mean_a - mean_b) / sqrt(va/na + vb/nb) with sample variances;
+    t = (mean_a - mean_b) / sqrt(va/na + vb/nb) with sample variances,
+    which statistics computes exactly, so a constant sample's is 0;
     degrees of freedom follow Welch-Satterthwaite; p is the two-sided
     tail of the t distribution. Identical samples short-circuit to
     (t=0, p=1).
@@ -404,11 +402,10 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     if na < 2 or nb < 2:
         raise ValueError("welch_t_test: each sample needs n >= 2")
     if a == b:
-        va = sample_var(a)
-        df = 2.0 * (na - 1) if va > 0 else float("nan")
+        df = 2.0 * (na - 1) if statistics.variance(a) > 0 else float("nan")
         return WelchResult(t=0.0, p=1.0, df=df)
-    ma, mb = sum(a) / na, sum(b) / nb
-    va, vb = sample_var(a), sample_var(b)
+    ma, mb = statistics.mean(a), statistics.mean(b)
+    va, vb = statistics.variance(a), statistics.variance(b)
     se2 = va / na + vb / nb
     if se2 == 0.0:
         if ma == mb:
@@ -417,12 +414,6 @@ def welch_t_test(sample_a, sample_b) -> WelchResult:
     t = (ma - mb) / math.sqrt(se2)
     df = 1.0 / ((va / na / se2) ** 2 / (na - 1) + (vb / nb / se2) ** 2 / (nb - 1))  # se2**2 may underflow
     return WelchResult(t=t, p=_t_two_sided_p(t, df), df=df)
-
-
-def sample_var(xs: list[float]) -> float:
-    """Unbiased sample variance (n - 1 in the denominator)."""
-    m = sum(xs) / len(xs)
-    return sum((x - m) ** 2 for x in xs) / (len(xs) - 1)
 
 
 def _t_two_sided_p(t: float, df: float) -> float:
@@ -451,9 +442,9 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
         for coef in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),  # d_{2m+1}
                      (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):  # d_{2m+2}
             d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
+            d = 1.0 / (tiny if abs(d) <= tiny else d)  # a NaN fails <= and stays NaN: it never converges
             c = 1.0 + coef / c
-            c = c if abs(c) > tiny else tiny
+            c = tiny if abs(c) <= tiny else c
             f *= c * d
         if abs(c * d - 1.0) < 2.3e-16:  # the last term moved f by at most one ulp
             return 1.0 / f

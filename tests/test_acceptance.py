@@ -255,9 +255,8 @@ def test_criterion_9_desk_scale_real_format_run(agnews_corpus, tmp_path, capsys)
     elapsed = time.perf_counter() - t0
     stdout = capsys.readouterr().out
     with capsys.disabled():
-        report = dict(
-            line.split("=", 1) for line in open(os.path.join(out, "metrics.txt")).read().splitlines()
-        )
+        with open(os.path.join(out, "metrics.txt")) as fh:
+            report = dict(line.split("=", 1) for line in fh.read().splitlines())
         acc = float(report["test_accuracy"])
         ok = code == 0 and report["epochs_run"] == "2" and acc >= 0.70 and elapsed < 1800
         verdict(9, "desk-scale run", ok,

@@ -63,6 +63,25 @@ def test_matmul_shape_mismatch():
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: ad.add(zeros(2, 3), zeros(4)), ["(2, 3)", "(4,)"]),
+    (lambda: ad.matmul(zeros(3), zeros(3, 2)), ["(3,)", "(3, 2)"]),
+    (lambda: ad.matmul(zeros(2, 3, 4), zeros(3, 4, 5)), ["(2, 3, 4)", "(3, 4, 5)"]),
+    (lambda: ad.abs_diff(zeros(2, 3), zeros(3, 2)), ["(2, 3)", "(3, 2)"]),
+    (lambda: ad.softmax(zeros(2, 3), axis=2), ["axis 2", "(2, 3)"]),
+    (lambda: ad.broadcast_to(zeros(2, 3), (4, 3)), ["(2, 3)", "(4, 3)"]),
+    (lambda: ad.cross_entropy(zeros(2, 3), np.zeros(3, dtype=np.int64)), ["(3,)", "(2,)"]),
+], ids=["add", "matmul-1d", "matmul-leading-axes", "abs_diff", "softmax-axis", "broadcast_to", "cross_entropy-gold"])
+def test_shape_guard_names_both_shapes(call, named):
+    with pytest.raises(ShapeError) as err:
+        call()
+    assert all(text in str(err.value) for text in named), str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # tanh
 
@@ -224,6 +243,11 @@ def test_abs_diff_tie_subgradient_zero():
 
 def test_reduce_mean():
     assert float(ad.reduce(Tensor([2.0, 4.0, 6.0]), kind="mean").data) == 4.0
+
+
+def test_reduce_unknown_kind():
+    with pytest.raises(ValueError, match="reduce: unknown kind 'max'"):
+        ad.reduce(Tensor(np.zeros((2, 2))), kind="max")
 
 
 def test_reduce_invalid_axis():

@@ -22,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idea
-from idea.cli import _FIELD_NAMES, DATASETS, build_parser, gradcheck_setup, main
+from idea.cli import _FIELD_NAMES, DATASETS, build_parser, entrypoint, gradcheck_setup, main
 from idea.data import Vocab, load_csv
 from idea.encoder import EncoderConfig
 from idea.head import ABLATION_MODES, AblationConfig
 from idea.model import IdeaModel
-from idea.training import TrainConfig
+from idea.training import NonFiniteLossError, TrainConfig
 
 
 def run_cli(capsys, *args):
@@ -65,8 +65,10 @@ def test_make_synthetic_deterministic_per_seed(tmp_path, capsys):
     run_cli(capsys, "make-synthetic", "--out", a, "--docs", "50", "--seed", "9")
     run_cli(capsys, "make-synthetic", "--out", b, "--docs", "50", "--seed", "9")
     run_cli(capsys, "make-synthetic", "--out", c, "--docs", "50", "--seed", "10")
-    assert open(a).read() == open(b).read()
-    assert open(a).read() != open(c).read()
+    with open(a) as fa, open(b) as fb, open(c) as fc:
+        text_a = fa.read()
+        assert text_a == fb.read()
+        assert text_a != fc.read()
 
 
 def test_make_synthetic_custom_labels(tmp_path, capsys):
@@ -77,6 +79,24 @@ def test_make_synthetic_custom_labels(tmp_path, capsys):
     )
     assert code == 0
     assert "labels: world,sports,business,sci tech" in stdout
+
+
+def test_make_synthetic_names_classes_past_the_name_pool_topic_n(tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "make-synthetic", "--out", str(tmp_path / "c.csv"), "--classes", "12")
+    assert code == 0, err
+    assert stdout.endswith(",weather,nature,topic10,topic11\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--classes", "1"], "need at least 2 classes, got 1"),
+    (["--docs", "2", "--classes", "3"], "2 documents for 3 classes; need one per class"),
+    (["--label-names", "a,b", "--classes", "3"], "2 label names for 3 classes"),
+], ids=["one-class", "too-few-docs", "name-count"])
+def test_make_synthetic_bad_class_setting_exits_1_writing_nothing(tmp_path, capsys, args, message):
+    out = tmp_path / "c.csv"
+    code, stdout, err = run_cli(capsys, "make-synthetic", "--out", str(out), *args)
+    assert code == 1 and stdout == ""
+    assert message in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +241,8 @@ def test_cmd_export_features(cli_corpus, tmp_path, capsys):
         "--out", tsv, "--limit", "30",
     )
     assert code == 0
-    lines = open(tsv).read().splitlines()
+    with open(tsv) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 30
     assert all(len(line.split("\t")) == 2 + 16 * 4 for line in lines)
 
@@ -269,6 +290,15 @@ def test_eval_with_empty_document_exits_0(cli_corpus, trained_dir, tmp_path, cap
     assert "test_n_samples=91" in stdout
 
 
+def test_eval_test_limit_above_the_row_count_evaluates_every_row(cli_corpus, trained_dir, capsys):
+    args = ["eval", "--model-dir", trained_dir, "--test-csv", cli_corpus["test"]]
+    code, want, err = run_cli(capsys, *args)
+    assert code == 0, err
+    code, stdout, err = run_cli(capsys, *args, "--test-limit", "1000")
+    assert code == 0, err
+    assert "test_n_samples=90" in stdout and stdout == want
+
+
 def test_export_features_with_empty_document_exits_0(cli_corpus, trained_dir, tmp_path, capsys):
     csv_path = with_empty_document(tmp_path, cli_corpus["test"])
     tsv = str(tmp_path / "features.tsv")
@@ -276,7 +306,8 @@ def test_export_features_with_empty_document_exits_0(cli_corpus, trained_dir, tm
         capsys, "export-features", "--model-dir", trained_dir, "--csv", csv_path, "--out", tsv
     )
     assert code == 0, err
-    lines = open(tsv).read().splitlines()
+    with open(tsv) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 91
     assert lines[-1].split("\t")[0] == "1"
 
@@ -361,7 +392,8 @@ def keeps_previous_file(directory, name):
         fh.write("previous\n")
 
     def check():
-        assert open(path, encoding="utf-8").read() == "previous\n"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "previous\n"
         assert not [f for f in os.listdir(directory) if f.endswith(".tmp")]
 
     return check
@@ -667,7 +699,10 @@ def test_output_ignores_vocab_txt(cli_corpus, trained_dir, tmp_path, capsys, com
     def output(model_dir):
         code, stdout, err = run_cli(capsys, command, "--model-dir", model_dir, *args)
         assert code == 0, err
-        return stdout if command == "eval" else stdout + open(tsv, encoding="utf-8").read()
+        if command == "eval":
+            return stdout
+        with open(tsv, encoding="utf-8") as fh:
+            return stdout + fh.read()
 
     want = output(trained_dir)
     model_dir = copy_model_dir(trained_dir, tmp_path)
@@ -712,7 +747,7 @@ def test_train_max_len_beyond_positions_exits_1(capsys):
 
 @pytest.mark.parametrize("flag, field", [
     ("--train-limit", "train_limit"), ("--test-limit", "test_limit"), ("--max-steps", "max_steps"),
-    ("--max-len", "max_len"), ("--min-freq", "min_freq"),
+    ("--max-len", "max_len"), ("--min-freq", "min_freq"), ("--batch-size", "batch_size"), ("--epochs", "epochs"),
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_train_limit_below_one_exits_1_before_reading_the_csv(capsys, flag, field, value):
@@ -733,6 +768,17 @@ def test_train_bad_encoder_setting_exits_1_before_reading_the_csv(capsys, comman
     code, _, err = run_cli(capsys, command, "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
                            "--labels", "a,b", flag, value)
     assert code == 1
+    assert message in err and "/no/such.csv" not in err
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([], "train: label names required (--labels or --dataset)"),
+    (["--labels", "a,,b"], "train: empty label name in --labels"),
+    (["--labels", "world"], "train: need at least two label names"),
+], ids=["none", "empty-name", "one-name"])
+def test_train_bad_label_names_exit_1_before_reading_the_csv(capsys, labels, message):
+    code, out, err = run_cli(capsys, "train", "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv", *labels)
+    assert code == 1 and out == ""
     assert message in err and "/no/such.csv" not in err
 
 
@@ -911,6 +957,20 @@ def test_ablate_negative_seed_exits_1_before_any_run(capsys, train_calls):
     assert "bad seed list '0,-1': seeds must be >= 0" in err
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("x", "bad seed list 'x'"),
+    (",", "empty seed list"),
+    ("0,1,0", "bad seed list '0,1,0': seed 0 repeats"),
+], ids=["malformed", "empty", "repeated"])
+@pytest.mark.parametrize("command", ["ablate", "gradcheck"])
+def test_bad_seed_list_exits_1_before_any_run(capsys, monkeypatch, train_calls, command, seeds, message):
+    monkeypatch.setattr("idea.cli.gradcheck_setup", lambda seed: pytest.fail("a check ran"))
+    args = ["--labels", "a,b", *CSV_FLAGS] if command == "ablate" else []
+    code, out, err = run_cli(capsys, command, *args, "--seeds", seeds)
+    assert code == 1 and out == "" and train_calls == []
+    assert message in err
+
+
 def test_failed_ablation_table_write_keeps_previous_file(tmp_path, capsys, train_calls, full_disk):
     out = str(tmp_path / "sweep")
     check = keeps_previous_file(out, "ablation.tsv")
@@ -929,6 +989,7 @@ def test_failed_ablation_table_write_keeps_previous_file(tmp_path, capsys, train
     ({"max_steps": "x"}, "max_steps"),
     ({"lr": "fast"}, "lr"),
     ('{"epochs": 2,', None),  # malformed JSON
+    ('[{"epochs": 2}]', None),  # an array, not an object
 ])
 def test_config_file_bad_value_exits_1(tmp_path, capsys, train_calls, file_cfg, key):
     if isinstance(file_cfg, dict):
@@ -986,6 +1047,25 @@ def test_missing_dataset_file_exits_1(capsys):
         "--labels", "a,b",
     )
     assert code == 1
+
+
+def test_non_finite_loss_exits_2_naming_the_error(capsys, monkeypatch):
+    def diverge(config, log=None):
+        raise NonFiniteLossError("non-finite loss nan at step 3 (epoch 1, lr 0.5, grad_norm 7.0 (previous step))")
+
+    monkeypatch.setattr("idea.cli.train", diverge)
+    code, out, err = run_cli(capsys, "train", "--labels", "a,b", *CSV_FLAGS)
+    assert code == 2 and out == ""
+    assert err == ("idea: runtime failure: NonFiniteLossError: non-finite loss nan at step 3 "
+                   "(epoch 1, lr 0.5, grad_norm 7.0 (previous step))\n")
+
+
+def test_entrypoint_exits_with_the_code_main_returns(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["idea", "gradcheck", "--seeds", "x"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 1
+    assert "bad seed list 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--config", "--train-csv"])

@@ -172,6 +172,24 @@ def test_vocab_save_failure_keeps_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["vocab.txt"]
 
 
+def test_vocab_load_drops_trailing_blank_lines(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nx\ny\n\n\n")
+    assert Vocab.load(path).id_to_token == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "x", "y"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_vocab([Document("x", 0)], min_freq=0), "build_vocab: min_freq must be >= 1, got 0"),
+    (lambda: encode_document(Document("x", 0), Vocab.from_tokens(["x"]), max_len=0),
+     "encode_document: max_len must be >= 1, got 0"),
+    (lambda: make_batches([Document("x", 0)], Vocab.from_tokens(["x"]), batch_size=0),
+     "make_batches: batch_size must be >= 1, got 0"),
+], ids=["build_vocab-min_freq", "encode_document-max_len", "make_batches-batch_size"])
+def test_size_below_one_raises_naming_the_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_vocab_load_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a\nb\nc\nd\ne\n")

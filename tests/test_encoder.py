@@ -62,6 +62,12 @@ def test_encoder_config_rejects_bad_field(field, value):
         EncoderConfig(**{"vocab_size": 10, "d": 8, "n_heads": 2, field: value})
 
 
+def test_encode_ids_and_mask_of_different_shapes():
+    cfg, params = tiny_setup()
+    with pytest.raises(ad.ShapeError, match=r"encode: ids \(2, 5\) vs mask \(2, 4\)"):
+        encode(np.full((2, 5), 2), np.ones((2, 4), bool), cfg, params)
+
+
 def test_encode_too_long_sequence(rng):
     cfg, params = tiny_setup()
     ids = np.full((1, cfg.max_positions + 1), 2, dtype=np.int64)

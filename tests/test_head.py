@@ -301,6 +301,20 @@ def test_predict_shift_invariant(rng):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda p: text_attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5))), p, np.ones((2, 3), bool)),
+     ["(2, 3, 4)", "(2, 5)"]),
+    (lambda p: label_attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))), p), ["(2, 3, 4)", "(3, 4)"]),
+    (lambda p: weighted_features(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5)))), ["(2, 4)", "(2, 5)"]),
+    (lambda p: assemble_z(*(Tensor(np.zeros(shape)) for shape in ((2, 4), (2, 4), (2, 5), (2, 4))),
+                          AblationConfig("full")), ["(2, 5)", "(2, 4)"]),
+], ids=["text_attention", "label_attention", "weighted_features", "assemble_z"])
+def test_head_shape_guard_names_both_shapes(rng, call, named):
+    with pytest.raises(ShapeError) as err:
+        call(make_params(rng, 4))
+    assert all(text in str(err.value) for text in named), str(err.value)
+
+
 def test_classify_width_mismatch(rng):
     z = Tensor(rng.normal(size=(3, 8)))
     params = classifier_params(16, 4, rng)

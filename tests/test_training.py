@@ -18,6 +18,7 @@ from idea.training import (
     StepStats,
     TrainConfig,
     WelchResult,
+    _beta_fraction,
     _t_two_sided_p,
     build,
     clip_grads,
@@ -257,6 +258,18 @@ def test_welch_tiny_variances_do_not_underflow_the_degrees_of_freedom():
     assert res.p == pytest.approx(ref.p, rel=1e-2)
 
 
+def test_welch_constant_samples_with_different_means_give_an_infinite_t():
+    # both variances are exactly 0, so t is infinite, not a huge finite ratio of rounding residues
+    res = welch_t_test([0.9] * 3, [0.95] * 3)
+    assert res.t == -math.inf and res.p == 0.0 and math.isnan(res.df)
+
+
+def test_beta_fraction_that_does_not_converge_names_its_arguments():
+    # the guard against a zero denominator must not turn a NaN into a converged fraction
+    with pytest.raises(ArithmeticError, match="did not converge for a=2.5, b=0.5, x=nan"):
+        _beta_fraction(2.5, 0.5, float("nan"))
+
+
 def test_welch_zero_variance_equal_means():
     with pytest.raises(ValueError):
         welch_t_test([5.0, 5.0], [5.0, 5.0, 5.0])
@@ -332,10 +345,8 @@ def test_report_counts_reproduce_metrics(synthetic_corpus, tmp_path):
     # accuracy and macro recall from them
     out = str(tmp_path / "run")
     res = train(_fast_config(synthetic_corpus, out_dir=out), log=lambda m: None)
-    report = dict(
-        line.split("=", 1)
-        for line in open(os.path.join(out, "metrics.txt")).read().splitlines()
-    )
+    with open(os.path.join(out, "metrics.txt")) as fh:
+        report = dict(line.split("=", 1) for line in fh.read().splitlines())
     tp = [int(report[f"test_class_{i}_tp"]) for i in range(3)]
     fn = [int(report[f"test_class_{i}_fn"]) for i in range(3)]
     n = int(report["test_n_samples"])
@@ -429,7 +440,8 @@ def test_train_writes_artifacts(synthetic_corpus, tmp_path):
     res = train(_fast_config(synthetic_corpus, out_dir=out), log=lambda m: None)
     for name in ("metrics.txt", "vocab.txt", "model.ckpt", "timing.txt"):
         assert os.path.exists(os.path.join(out, name))
-    report = open(os.path.join(out, "metrics.txt")).read()
+    with open(os.path.join(out, "metrics.txt")) as fh:
+        report = fh.read()
     assert f"test_accuracy={res.test_metrics.accuracy!r}" in report
     assert "seconds" not in report  # timing lives elsewhere
 
@@ -657,7 +669,8 @@ def test_export_features_roundtrip(synthetic_corpus, tmp_path):
     path = tmp_path / "features.tsv"
     export_features(model, batches, path)
 
-    lines = [line.rstrip("\n").split("\t") for line in open(path)]
+    with open(path) as fh:
+        lines = [line.rstrip("\n").split("\t") for line in fh]
     assert len(lines) == 40
     z_width = model.ablation.z_width(model.encoder_config.d)
     assert all(len(cells) == 2 + z_width for cells in lines)
