@@ -280,8 +280,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _result(data, tuple(parts), backward_fn, "concat")
 
 
-def _dropout_keep(shape, dtype, rate: float, training: bool, rng) -> np.ndarray | None:
-    """dropout's mask for this shape: 1/(1-rate) where kept, 0 where dropped; None when dropout is the identity."""
+def dropout_mask(shape, dtype, rate: float, training: bool, rng) -> np.ndarray | None:
+    """A dropout mask of shape: 1/(1-rate) where kept, 0 where dropped; None when dropout is the identity."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -296,7 +296,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
     The identity when training is False or rate is 0.
     """
-    keep = _dropout_keep(x.data.shape, x.data.dtype, rate, training, rng)
+    return apply_dropout(x, dropout_mask(x.data.shape, x.data.dtype, rate, training, rng))
+
+
+def apply_dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
+    """x times a mask from dropout_mask; x itself when keep is None."""
     if keep is None:
         return x
 
@@ -306,93 +310,146 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return _result(x.data * keep, (x,), backward_fn, "dropout")
 
 
-def self_attention(x: Tensor, key_bias: np.ndarray, Wq: Tensor, bq: Tensor, Wk: Tensor,
-                   Wv: Tensor, bv: Tensor, Wo: Tensor, bo: Tensor, heads: int, rate: float,
-                   training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention over K x S x d, as one tape node.
+# Groups: consecutive blocks of a tensor's rows (its leading axes flattened), each
+# block K sequences of length S, as (K, S, first row, end row) per block; see
+# row_groups. A grouped op treats every group as if it ran on that group alone:
+# attention looks only within a group, its GEMMs are the group's own, and each
+# parameter gradient is summed within each group and the sums then added, as
+# separate passes and backward() would add them.
+Groups = tuple[tuple[int, int, int, int], ...]
 
-    key_bias (see mask_bias) broadcasts to the K x heads x S x S scores.
-    Dropout, as in dropout(), hits the attention weights and then the
-    output, drawing from rng in that order. The backward pass is written
-    out by hand; its weight gradients are single GEMMs over all K*S rows.
-    Without a gradient to record, the dropped weights overwrite the probabilities.
+
+def row_groups(shapes) -> Groups:
+    """The Groups of consecutive blocks of K x S rows, one (K, S) pair per block."""
+    groups, start = [], 0
+    for k_batch, seq in shapes:
+        groups.append((k_batch, seq, start, start + k_batch * seq))
+        start += k_batch * seq
+    return tuple(groups)
+
+
+def _add_groups(per_group) -> list[np.ndarray]:
+    """Each group's tuple of gradients from per_group, added group by group, in group order."""
+    totals = None
+    for parts in per_group:
+        if totals is None:
+            totals = list(parts)  # fresh arrays, so the later groups add in place
+        else:
+            for total, part in zip(totals, parts):
+                total += part
+    return totals
+
+
+def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: Tensor, bv: Tensor,
+                   Wo: Tensor, bo: Tensor, heads: int, keep_p: np.ndarray | None, keep_o: np.ndarray | None,
+                   groups: Groups | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each group of x's rows, as one tape node.
+
+    x is K x S x d, one group, unless groups (see Groups) splits its rows.
+    key_bias[i] (see mask_bias) broadcasts to group i's K x heads x S x S
+    scores. keep_p (see dropout_mask) hits the attention weights, every
+    group's K x heads x S x S of them in a row, and keep_o the output; None
+    drops nothing. The backward pass is written out by hand; a group's
+    weight gradients are single GEMMs over its K*S rows. Without a gradient
+    to record, the dropped weights overwrite the probabilities. Each group's
+    intermediates stay its own arrays, as a pass over it alone makes them.
     """
     inputs = (x, Wq, bq, Wk, Wv, bv, Wo, bo)
     reuse = not _needs_grad(inputs)  # no backward reads the intermediates
-    xd = x.data
-    k_batch, seq, d = xd.shape
-    dk = d // heads
-    alpha = 1.0 / math.sqrt(dk)
-
-    def split(t):  # K x S x d -> K x heads x S x dk, a view
-        return t.reshape(k_batch, seq, heads, dk).transpose(0, 2, 1, 3)
-
-    def merge(t):  # K x heads x S x dk -> (K*S) x d
-        return t.transpose(0, 2, 1, 3).reshape(k_batch * seq, d)
-
-    q = xd @ Wq.data
-    q += bq.data
-    q = split(q)
-    k = split(xd @ Wk.data)
-    v = xd @ Wv.data
-    v += bv.data
-    v = split(v)
-    probs = q @ k.swapaxes(-1, -2)  # the scores, exponentiated and normalized in place
-    probs *= alpha
-    probs += key_bias
-    # row maxima (exact in any order) from a key-major copy: one reduction, not one per short row
-    probs -= np.maximum.reduce(probs.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    keep_p = _dropout_keep(probs.shape, xd.dtype, rate, training, rng)
-    weights = probs if keep_p is None else np.multiply(probs, keep_p, out=probs if reuse else None)
-    ctx = merge(weights @ v)
-    out = ctx.reshape(xd.shape) @ Wo.data
+    d = x.data.shape[-1]
+    xd = x.data.reshape(-1, d)
+    groups = groups or row_groups([x.data.shape[:2]])
+    alpha = 1.0 / math.sqrt(d // heads)
+    out = np.empty_like(xd)
+    saved, start = [], 0  # per group, what its backward reads; where its weights' mask starts in keep_p
+    for (k_batch, seq, i, j), bias in zip(groups, key_bias):
+        xg = xd[i:j].reshape(k_batch, seq, d)
+        q = xg @ Wq.data
+        q += bq.data
+        q = _split_heads(q, k_batch, heads)
+        k = _split_heads(xg @ Wk.data, k_batch, heads)
+        v = xg @ Wv.data
+        v += bv.data
+        v = _split_heads(v, k_batch, heads)
+        probs = q @ k.swapaxes(-1, -2)  # the scores, exponentiated and normalized in place
+        probs *= alpha
+        probs += bias
+        # row maxima (exact in any order) from a key-major copy: one reduction, not one per short row
+        probs -= np.maximum.reduce(probs.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        keep = None if keep_p is None else keep_p[start:start + probs.size].reshape(probs.shape)
+        start += probs.size
+        weights = probs if keep is None else np.multiply(probs, keep, out=probs if reuse else None)
+        ctx = _merge_heads(weights @ v)
+        np.matmul(ctx.reshape(xg.shape), Wo.data, out=out[i:j].reshape(xg.shape))
+        saved.append((q, k, v, probs, keep, weights, ctx))
     out += bo.data
-    keep_o = _dropout_keep(out.shape, xd.dtype, rate, training, rng)
     if keep_o is not None:
+        keep_o = keep_o.reshape(out.shape)
         out *= keep_o
 
     def backward_fn(g):
+        g = g.reshape(xd.shape)
         if keep_o is not None:
             g = g * keep_o
-        g = g.reshape(k_batch * seq, d)
-        gctx = split(g @ Wo.data.T)
-        gscores = gctx @ v.swapaxes(-1, -2)  # the weights' gradient, turned into the scores' in place
-        if keep_p is not None:
-            gscores *= keep_p
-        gscores -= np.sum(gscores * probs, axis=-1, keepdims=True)
-        gscores *= probs
-        gscores *= alpha
-        gq = merge(gscores @ k)
-        gk = merge(gscores.swapaxes(-1, -2) @ q)
-        gv = merge(weights.swapaxes(-1, -2) @ gctx)
-        x2 = xd.reshape(k_batch * seq, d)
-        gx = gq @ Wq.data.T
-        gx += gk @ Wk.data.T
-        gx += gv @ Wv.data.T
-        return (gx.reshape(xd.shape), x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
-                gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
+        gx = np.empty_like(xd)
 
-    return _result(out, inputs, backward_fn, "self_attention")
+        def group_grads(k_batch, seq, i, j, q, k, v, probs, keep, weights, ctx):
+            gg = g[i:j]
+            gctx = _split_heads(gg @ Wo.data.T, k_batch, heads)
+            gscores = gctx @ v.swapaxes(-1, -2)  # the weights' gradient, turned into the scores' in place
+            if keep is not None:
+                gscores *= keep
+            gscores -= np.sum(gscores * probs, axis=-1, keepdims=True)
+            gscores *= probs
+            gscores *= alpha
+            gq = _merge_heads(gscores @ k)
+            gk = _merge_heads(gscores.swapaxes(-1, -2) @ q)
+            gv = _merge_heads(weights.swapaxes(-1, -2) @ gctx)
+            x2 = xd[i:j]
+            gxg = np.matmul(gq, Wq.data.T, out=gx[i:j])
+            gxg += gk @ Wk.data.T
+            gxg += gv @ Wv.data.T
+            return x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv, gv.sum(axis=0), ctx.T @ gg, gg.sum(axis=0)
+
+        grads = _add_groups(group_grads(*group, *s) for group, s in zip(groups, saved))
+        return (gx.reshape(x.data.shape), *grads)
+
+    return _result(out.reshape(x.data.shape), inputs, backward_fn, "self_attention")
+
+
+def _split_heads(t: np.ndarray, k_batch: int, heads: int) -> np.ndarray:
+    """K*S rows of d -> K x heads x S x dk, a view."""
+    d = t.shape[-1]
+    return t.reshape(k_batch, -1, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    """K x heads x S x dk -> (K*S) x d."""
+    k_batch, heads, seq, dk = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(k_batch * seq, heads * dk)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
-def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate: float,
-                 training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """dropout(gelu(x W1 + b1) W2 + b2) over x's last axis, as one tape node.
+def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, keep: np.ndarray | None,
+                 groups: Groups | None = None) -> Tensor:
+    """(gelu(x W1 + b1) W2 + b2) * keep over x's last axis, as one tape node.
 
-    GELU is the tanh approximation; dropout is as in dropout(). The
-    backward pass is written out by hand; its weight gradients are
-    single GEMMs over all rows of x. Without a gradient to record, the
-    activation overwrites the pre-activation.
+    GELU is the tanh approximation; keep is a dropout_mask of the output's
+    shape, or None. x is one group unless groups (see Groups) splits its
+    rows. Each group's GEMMs are its own, as if it ran alone: BLAS may round
+    a few rows differently inside a larger product. The backward pass is
+    written out by hand; a group's weight gradients are single GEMMs over
+    its rows. Without a gradient to record, the activation overwrites the
+    pre-activation.
     """
     inputs = (x, W1, b1, W2, b2)
     reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     xd = x.data
-    h = np.matmul(xd, W1.data)
+    h = _group_matmul(xd, W1.data, groups)
     h += b1.data
     t = h * h  # tanh(C (h + 0.044715 h^3)), built in place
     t *= h
@@ -402,9 +459,8 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate
     np.tanh(t, out=t)
     act = np.multiply(h, 0.5, out=h if reuse else None)  # (0.5 h) (1 + t)
     act *= np.add(t, 1.0, out=t if reuse else None)
-    out = np.matmul(act, W2.data)
+    out = _group_matmul(act, W2.data, groups)
     out += b2.data
-    keep = _dropout_keep(out.shape, out.dtype, rate, training, rng)
     if keep is not None:
         out *= keep
 
@@ -426,12 +482,27 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, rate
         np.add(t2, 1.0, out=s)
         s *= 0.5
         dgelu += s
-        gh = g @ W2.data.T
-        gh *= dgelu
-        return ((gh @ W1.data.T).reshape(xd.shape), xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
-                act.reshape(n, -1).T @ g, g.sum(axis=0))
+        x2, act2 = xd.reshape(n, -1), act.reshape(n, -1)
+        gx = np.empty_like(x2)
+
+        def group_grads(i, j):
+            gh = g[i:j] @ W2.data.T
+            gh *= dgelu[i:j]
+            np.matmul(gh, W1.data.T, out=gx[i:j])
+            return x2[i:j].T @ gh, gh.sum(axis=0), act2[i:j].T @ g[i:j], g[i:j].sum(axis=0)
+
+        grads = _add_groups(group_grads(i, j) for _, _, i, j in groups or row_groups([(1, n)]))
+        return (gx.reshape(xd.shape), *grads)
 
     return _result(out, inputs, backward_fn, "feed_forward")
+
+
+def _group_matmul(a: np.ndarray, b: np.ndarray, groups: Groups | None) -> np.ndarray:
+    """a @ b, as one K x S x width product per group of a's rows when groups are given."""
+    if groups is None:
+        return np.matmul(a, b)
+    rows = [np.matmul(a[i:j].reshape(k_batch, seq, -1), b).reshape(j - i, -1) for k_batch, seq, i, j in groups]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -471,33 +542,88 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     return _result(np.ascontiguousarray(data), (x,), backward_fn, "broadcast")
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into an embedding table; gradients scatter-add back."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ShapeError(
-            f"embedding: ids outside [0, {table.data.shape[0]}) in lookup"
-        )
+def take_rows(x: Tensor, start: int, shape, factor: np.ndarray) -> Tensor:
+    """x's rows (its leading axes flattened) from start on, as an array of shape, times factor; one tape node.
+
+    The gradient fills x's other rows with -0.0, which adds to any number
+    exactly, so the gradients of takes of disjoint rows sum to each take's own.
+    """
+    flat = x.data.reshape(-1, x.data.shape[-1])
+    stop = start + math.prod(shape[:-1])
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        full = np.full_like(flat, -0.0)
+        full[start:stop] = (g * factor).reshape(stop - start, -1)
+        return (full.reshape(x.data.shape),)
 
-    return _result(table.data[ids], (table,), backward_fn, "embedding")
+    return _result(flat[start:stop].reshape(shape) * factor, (x,), backward_fn, "take_rows")
 
 
-def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def embed(tokens: Tensor, positions: Tensor, gain: Tensor, bias: Tensor, ids: np.ndarray,
+          groups: Groups | None = None, eps: float = 1e-12) -> Tensor:
+    """Normalize each row's token vector plus its position vector, then apply a gain and bias; one tape node.
+
+    ids index the rows of the token table; those of a group (see Groups; by
+    default ids is one K x S group) take positions 0 .. S-1 once per
+    sequence. The normalization is add_layernorm's. The tables' gradients
+    scatter-add back into one table per group, and those are then added.
+    """
+    ids = np.asarray(ids)
+    rows, width = tokens.data.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ShapeError(f"embed: ids outside [0, {rows}) in lookup")
+    groups = groups or row_groups([ids.shape])
+    inputs = (tokens, positions, gain, bias)
+    xc = tokens.data[ids]
+    for k_batch, seq, i, j in groups:
+        xc.reshape(-1, width)[i:j].reshape(k_batch, seq, width)[...] += positions.data[:seq]
+    data, xhat, std = _layernorm(xc, gain, bias, eps, reuse=not _needs_grad(inputs))
+
+    def table_grads(dx, flat, k_batch, seq, i, j):
+        gt = np.zeros_like(tokens.data)
+        np.add.at(gt.reshape(-1), flat[i * width:j * width], dx[i:j].reshape(-1))  # 1-D: numpy's fast path
+        gp = np.zeros_like(positions.data)
+        gp[:seq] = dx[i:j].reshape(k_batch, seq, width).sum(axis=0)
+        return gt, gp
+
+    def backward_fn(g):
+        dx, dgain, dbias = _layernorm_grads(g, xc, xhat, std, gain, groups)
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)  # each looked-up entry's flat index
+        dx = dx.reshape(-1, width)
+        return (*_add_groups(table_grads(dx, flat, *group) for group in groups), dgain, dbias)
+
+    return _result(data, inputs, backward_fn, "embed")
+
+
+def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12,
+                  groups: Groups | None = None) -> Tensor:
     """Normalize a + b (broadcast) over the last axis, then apply a learned gain and bias; one tape node.
 
-    Without a gradient to record, the normalized values and then the output overwrite the sum.
+    The gain's and bias's gradients are summed over each group's rows (see
+    Groups; by default one group of all rows). Without a gradient to record,
+    the normalized values and then the output overwrite the sum.
     """
     inputs = (a, b, gain, bias)
-    reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     try:
         xc = a.data + b.data
     except ValueError:
         raise ShapeError(f"add_layernorm: cannot broadcast {a.data.shape} with {b.data.shape}")
+    data, xhat, std = _layernorm(xc, gain, bias, eps, reuse=not _needs_grad(inputs))
+
+    def backward_fn(g):
+        dx, dgain, dbias = _layernorm_grads(g, xc, xhat, std, gain, groups)
+        return _unbroadcast(dx, a.data.shape), _unbroadcast(dx, b.data.shape), dgain, dbias
+
+    return _result(data, inputs, backward_fn, "add_layernorm")
+
+
+def _layernorm(xc: np.ndarray, gain: Tensor, bias: Tensor, eps: float, reuse: bool):
+    """Normalize xc over its last axis, in place (xc becomes the centred values), then gain and bias.
+
+    Returns the output, the normalized values and the row std. With reuse
+    (no backward reads them), the normalized values and then the output
+    overwrite xc.
+    """
     dim = xc.shape[-1]
     # np.add.reduce / dim is .mean()'s own arithmetic, without its Python wrapper
     xc -= np.add.reduce(xc, axis=-1, keepdims=True) / dim
@@ -508,25 +634,27 @@ def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float =
     xhat = np.divide(xc, std, out=xc if reuse else sq)
     data = np.multiply(xhat, gain.data, out=xhat if reuse else None)
     data += bias.data
+    return data, xhat, std
 
-    def backward_fn(g):
-        lead = tuple(range(g.ndim - 1))
-        s = g * xhat
-        dgain = s.sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dx = g * gain.data  # d loss / d xhat, turned into d loss / d x in place
-        dvar = np.multiply(dx, xc, out=s).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
-        np.negative(dx, out=s)
-        s /= std
-        dmu = s.sum(axis=-1, keepdims=True)  # xc has zero mean: no dvar term
-        dx /= std
-        np.multiply(xc, dvar * 2.0, out=s)
-        s /= dim
-        dx += s
-        dx += dmu / dim
-        return _unbroadcast(dx, a.data.shape), _unbroadcast(dx, b.data.shape), dgain, dbias
 
-    return _result(data, inputs, backward_fn, "add_layernorm")
+def _layernorm_grads(g, xc, xhat, std, gain: Tensor, groups: Groups | None):
+    """_layernorm's backward: the gradient of its input, and of the gain and bias summed per group."""
+    dim = xc.shape[-1]
+    s = g * xhat
+    s2, g2 = s.reshape(-1, dim), g.reshape(-1, dim)
+    dgain, dbias = _add_groups((s2[i:j].sum(axis=0), g2[i:j].sum(axis=0))
+                               for _, _, i, j in groups or row_groups([(1, len(s2))]))
+    dx = g * gain.data  # d loss / d xhat, turned into d loss / d x in place
+    dvar = np.multiply(dx, xc, out=s).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
+    np.negative(dx, out=s)
+    s /= std
+    dmu = s.sum(axis=-1, keepdims=True)  # xc has zero mean: no dvar term
+    dx /= std
+    np.multiply(xc, dvar * 2.0, out=s)
+    s /= dim
+    dx += s
+    dx += dmu / dim
+    return dx, dgain, dbias
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:

@@ -203,6 +203,14 @@ def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], li
     return ids, spans
 
 
+def check_label_sequence_length(labels: LabelSet, max_positions: int) -> None:
+    """Raise ValueError if the joint label sequence (see encode_label_sequence) exceeds max_positions."""
+    length = sum(len(tokens) + 1 for tokens in labels.name_tokens()) + 1  # each name with CLS or a comma, SEP
+    if length > max_positions:
+        raise ValueError(f"{len(labels)} label names make a label sequence of {length} tokens, "
+                         f"more than max_positions {max_positions}")
+
+
 def load_csv(path, num_classes: int | None = None) -> list[Document]:
     """Read rows of the form: 1-based class index, then one or more text fields.
 

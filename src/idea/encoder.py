@@ -3,6 +3,8 @@
 The same parameter set encodes documents and the joint label sequence,
 so both land in one latent space: a small transformer (embeddings, masked
 multi-head self-attention, feed-forward, post-layer norms, pooler).
+encode_groups runs both through one pass, so the position-wise ops are
+called once for the rows of both.
 """
 from __future__ import annotations
 
@@ -84,21 +86,83 @@ def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype=np.float
     return params
 
 
-def _self_attention(x, key_bias, params, prefix, config, training, rng):
+def _self_attention(x, key_bias, params, prefix, config, keep_p, keep_o, groups):
     weights = (params[prefix + "attn." + name] for name in ("Wq", "bq", "Wk", "Wv", "bv", "Wo", "bo"))
-    return ad.self_attention(x, key_bias, *weights, config.n_heads, config.dropout, training, rng)
+    return ad.self_attention(x, key_bias, *weights, config.n_heads, keep_p, keep_o, groups)
 
 
-def _feed_forward(x, params, prefix, config, training, rng):
+def _feed_forward(x, params, prefix, config, keep, groups):
     weights = (params[prefix + "ffn." + name] for name in ("W1", "b1", "W2", "b2"))
-    return ad.feed_forward(x, *weights, config.dropout, training, rng)
+    return ad.feed_forward(x, *weights, keep, groups)
 
 
-def _encoder_layer(x, key_bias, params, prefix, config, training, rng):
-    attn = _self_attention(x, key_bias, params, prefix, config, training, rng)
-    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], LAYER_NORM_EPS)
-    h = _feed_forward(x, params, prefix, config, training, rng)
-    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], LAYER_NORM_EPS)
+def _encoder_layer(x, key_bias, params, prefix, config, keeps, groups):
+    keep_p, keep_o, keep_f = keeps
+    attn = _self_attention(x, key_bias, params, prefix, config, keep_p, keep_o, groups)
+    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], LAYER_NORM_EPS, groups)
+    h = _feed_forward(x, params, prefix, config, keep_f, groups)
+    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], LAYER_NORM_EPS, groups)
+
+
+def _dropout_masks(shapes, config: EncoderConfig, dtype, training: bool, rng) -> list:
+    """Every dropout mask of a pass, one per op in the order the pass applies them: the embedding's,
+    then per layer the attention weights' (flat) and the attention and feed-forward outputs' (a row
+    per position). Each joins the groups' masks, drawn group after group, each group's in the order
+    a pass over that group alone draws them; None everywhere when dropout is off."""
+    if not training or config.dropout == 0.0:
+        return [None] * (1 + 3 * config.n_layers)
+    per_group = []
+    for k_batch, seq in shapes:
+        rows, attn = (k_batch * seq, config.d), (k_batch * config.n_heads * seq * seq,)
+        per_group.append([ad.dropout_mask(shape, dtype, config.dropout, training, rng)
+                          for shape in [rows] + [attn, rows, rows] * config.n_layers])
+    return [np.concatenate(masks) for masks in zip(*per_group)]
+
+
+def encode_groups(
+    groups: list[tuple[np.ndarray, np.ndarray]],
+    config: EncoderConfig,
+    params: dict[str, Tensor],
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> list[EncoderOutput]:
+    """Encode groups of padded id matrices in one pass; each group's output equals encoding it alone.
+
+    Each group is an (ids, pad_mask) pair of K x S arrays. All groups' rows
+    share the embedding (one lookup, one position add + layer norm) and one
+    call per layer of each layer norm and of the feed-forward block;
+    attention stays within a group. Every dropout mask is drawn before the
+    first layer, group by group, in the order encoding the group alone draws
+    them, so the rng stream is the same too.
+    """
+    ids = [np.asarray(token_ids) for token_ids, _ in groups]
+    masks = [np.asarray(pad_mask, dtype=bool) for _, pad_mask in groups]
+    for token_ids, mask in zip(ids, masks):
+        if token_ids.shape != mask.shape:
+            raise ad.ShapeError(f"encode: ids {token_ids.shape} vs mask {mask.shape}")
+        if token_ids.shape[1] > config.max_positions:
+            raise ValueError(
+                f"encode: sequence length {token_ids.shape[1]} exceeds max_positions {config.max_positions}"
+            )
+    shapes = [token_ids.shape for token_ids in ids]
+    rows = ad.row_groups(shapes)
+    dtype = params["token_emb"].data.dtype
+    keeps = _dropout_masks(shapes, config, dtype, training, rng)
+
+    x = ad.embed(params["token_emb"], params["pos_emb"], params["emb_ln.g"], params["emb_ln.b"],
+                 np.concatenate([token_ids.reshape(-1) for token_ids in ids]), rows, LAYER_NORM_EPS)
+    x = ad.apply_dropout(x, keeps[0])
+    # PAD keys get exactly zero weight in every layer
+    key_bias = [ad.mask_bias(mask, dtype)[:, None, None, :] for mask in masks]
+    for i in range(config.n_layers):
+        x = _encoder_layer(x, key_bias, params, f"layer{i}.", config, keeps[1 + 3 * i:4 + 3 * i], rows)
+    outputs = []
+    for (k_batch, seq, start, _), mask in zip(rows, masks):
+        # zero PAD rows so padded ids cannot leak into anything downstream
+        tokens = ad.take_rows(x, start, (k_batch, seq, config.d), mask[:, :, None].astype(dtype))
+        cls = ad.reshape(ad.slice_axis(tokens, 1, 0, 1), (k_batch, config.d))
+        outputs.append(EncoderOutput(tokens=tokens, pooled=pooler(cls, params)))
+    return outputs
 
 
 def encode(
@@ -110,28 +174,7 @@ def encode(
     rng: np.random.Generator | None = None,
 ) -> EncoderOutput:
     """Encode a padded id matrix into per-token vectors and a pooled vector."""
-    ids = np.asarray(token_ids)
-    mask = np.asarray(pad_mask, dtype=bool)
-    if ids.shape != mask.shape:
-        raise ad.ShapeError(f"encode: ids {ids.shape} vs mask {mask.shape}")
-    k_batch, seq = ids.shape
-    if seq > config.max_positions:
-        raise ValueError(
-            f"encode: sequence length {seq} exceeds max_positions {config.max_positions}"
-        )
-
-    x = ad.embedding(params["token_emb"], ids)
-    x = ad.add_layernorm(x, ad.slice_axis(params["pos_emb"], 0, 0, seq), params["emb_ln.g"], params["emb_ln.b"],
-                         LAYER_NORM_EPS)
-    x = ad.dropout(x, config.dropout, training, rng)
-    # PAD keys get exactly zero weight in every layer
-    key_bias = ad.mask_bias(mask, x.dtype)[:, None, None, :]
-    for i in range(config.n_layers):
-        x = _encoder_layer(x, key_bias, params, f"layer{i}.", config, training, rng)
-    # zero PAD rows so padded ids cannot leak into anything downstream
-    x = ad.mul(x, Tensor(mask[:, :, None].astype(x.data.dtype)))
-    cls = ad.reshape(ad.slice_axis(x, 1, 0, 1), (k_batch, config.d))
-    return EncoderOutput(tokens=x, pooled=pooler(cls, params))
+    return encode_groups([(token_ids, pad_mask)], config, params, training, rng)[0]
 
 
 def pooler(cls_vector: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -164,5 +207,10 @@ def encode_labels_once(
     across the batch; gradients from every sample then accumulate into
     the same shared encoder parameters.
     """
+    return encode_groups([label_group(label_ids)], config, params, training, rng)[0]
+
+
+def label_group(label_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The label sequence as an encode_groups group: one sequence, no PAD."""
     ids = np.asarray(label_ids)[None, :]
-    return encode(ids, np.ones_like(ids, dtype=bool), config, params, training, rng)
+    return ids, np.ones_like(ids, dtype=bool)

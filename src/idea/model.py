@@ -13,13 +13,15 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import SEP, UNK, Batch, LabelSet, Vocab, atomic_open, encode_label_sequence, tokenize
+from .data import (SEP, UNK, Batch, LabelSet, Vocab, atomic_open, check_label_sequence_length,
+                   encode_label_sequence, tokenize)
 from .encoder import (
     EncoderConfig,
     ParamSpec,
     encode,
-    encode_labels_once,
+    encode_groups,
     init_params,
+    label_group,
     param_specs,
     pool_label_vectors,
 )
@@ -32,8 +34,8 @@ class IdeaModel:
     """Bundles the shared encoder, head and classifier parameters.
 
     The vocabulary and the label sequence it encodes are fixed at
-    construction; every forward pass encodes that sequence once and
-    broadcasts it across the batch. A frozen model (from load or frozen())
+    construction; every forward pass encodes that sequence once, in the
+    documents' encoder pass, and broadcasts it across the batch. A frozen model (from load or frozen())
     only infers: its parameters are views of one read-only array and need no
     gradient, so a forward records no tape, and it keeps its label sequence's
     encoding while every parameter is the read-only array it was encoded from.
@@ -57,10 +59,11 @@ class IdeaModel:
         for i, name in enumerate(self.label_names):  # each name needs a span in the label sequence
             if not (isinstance(name, str) and tokenize(name)):
                 raise ValueError(f"label name {i} must be a string with at least one token, got {name!r}")
+        labels = LabelSet(self.label_names)
+        check_label_sequence_length(labels, encoder_config.max_positions)
         if len(vocab) != encoder_config.vocab_size:
             raise ValueError(f"vocab has {len(vocab)} tokens but vocab_size is {encoder_config.vocab_size}")
         self.vocab = vocab
-        labels = LabelSet(self.label_names)
         label_ids, self.label_spans = encode_label_sequence(labels, vocab)
         if UNK in label_ids:  # a label name's token, or the "," between names, is not in the vocab
             missing = {",", *(t for toks in labels.name_tokens() for t in toks)} - vocab.token_to_id.keys()
@@ -111,8 +114,7 @@ class IdeaModel:
 
         if training and self.is_frozen:
             raise ValueError("a frozen model cannot run a training forward; train a trainable model")
-        enc = encode(ids, mask, self.encoder_config, self.params, training, rng)
-        lab_pooled, lab_vecs = self._kept_labels() or self._encode_labels(training, rng)
+        enc, (lab_pooled, lab_vecs) = self._encode(ids, mask, training, rng)
         label_vecs = ad.broadcast_to(lab_vecs, (k_batch, self.n_classes, d))
         m_global = ad.broadcast_to(lab_pooled, (k_batch, d))
 
@@ -130,14 +132,22 @@ class IdeaModel:
         logits = hd.classify(z, self.params["clf.W"], self.params["clf.b"])
         return logits, IdeaFeatures(alpha, beta, c, s, p, d_feat, gamma, z)
 
-    def _encode_labels(self, training: bool, rng) -> tuple[Tensor, Tensor]:
-        """The label sequence's pooled vector and per-label vectors; a frozen model keeps them."""
+    def _encode(self, ids, mask, training: bool, rng):
+        """The documents' encoding, and the label sequence's pooled vector and per-label vectors.
+
+        Both are encoded in one pass, unless the label encoding is kept;
+        a frozen model keeps it.
+        """
+        labels = self._kept_labels()
+        if labels is not None:
+            return encode(ids, mask, self.encoder_config, self.params, training, rng), labels
         arrays = tuple(p.data for p in self.params.values())
-        lab = encode_labels_once(self.label_ids, self.encoder_config, self.params, training, rng)
+        enc, lab = encode_groups([(ids, mask), label_group(self.label_ids)], self.encoder_config, self.params,
+                                 training, rng)
         labels = lab.pooled, pool_label_vectors(lab, self.label_spans)
         if self.is_frozen and not any(a.flags.writeable for a in arrays):
             self._labels = arrays, labels
-        return labels
+        return enc, labels
 
     def _kept_labels(self) -> tuple[Tensor, Tensor] | None:
         """The kept label encoding, unless a parameter array was rebound or made writable since."""

@@ -18,6 +18,7 @@ from .data import (
     Vocab,
     atomic_open,
     build_vocab,
+    check_label_sequence_length,
     load_csv,
     make_batches,
     stratified_sample,
@@ -87,6 +88,8 @@ class TrainConfig:
                 f"= {self.max_positions - 2}"
             )
         self.encoder_config(1)  # the encoder's own rules, with a placeholder vocabulary size
+        if all(isinstance(name, str) for name in self.label_names):  # before any CSV is read
+            check_label_sequence_length(LabelSet(list(self.label_names)), self.max_positions)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(vocab_size=vocab_size, d=self.d, n_layers=self.n_layers, n_heads=self.n_heads,

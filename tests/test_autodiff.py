@@ -458,19 +458,27 @@ def test_reshape_slice_gradcheck(rng):
 
 
 def test_embedding_lookup_and_scatter(rng):
-    table = leaf(rng, 6, 3)
+    # embed is add_layernorm of the looked-up token rows and the position rows, whose
+    # gradient scatters back: into the rows looked up, and summed over sequences by position
+    table, pos, gain, bias = leaf(rng, 6, 3), leaf(rng, 4, 3), leaf(rng, 3), leaf(rng, 3)
     ids = np.array([[0, 2, 2], [5, 0, 1]])
-    out = ad.embedding(table, ids)
+    tgt = Tensor(rng.normal(size=(2, 3, 3)))
+    out = ad.embed(table, pos, gain, bias, ids)
     assert out.shape == (2, 3, 3)
-    np.testing.assert_array_equal(out.data[0, 1], table.data[2])
-    backward(ad.reduce(out))
-    assert table.grad[2].sum() == pytest.approx(6.0)  # looked up twice, 3 coords
-    assert table.grad[3].sum() == 0.0  # never looked up
+    a, b = Tensor(table.data[ids], requires_grad=True), Tensor(pos.data[:3], requires_grad=True)
+    want = ad.add_layernorm(a, b, gain, bias)
+    assert out.data.tobytes() == want.data.tobytes()
+    backward(ad.reduce(ad.mul(out, tgt)))
+    backward(ad.reduce(ad.mul(want, tgt)))
+    np.testing.assert_allclose(table.grad[2], a.grad[0, 1] + a.grad[0, 2], rtol=1e-12)  # looked up twice
+    assert not table.grad[3].any() and not table.grad[4].any()  # never looked up
+    np.testing.assert_array_equal(pos.grad[:3], b.grad)
+    assert not pos.grad[3].any()  # beyond the sequence
 
 
 def test_embedding_id_out_of_range(rng):
     with pytest.raises(ShapeError):
-        ad.embedding(leaf(rng, 4, 2), np.array([4]))
+        ad.embed(leaf(rng, 4, 2), leaf(rng, 2, 2), leaf(rng, 2), leaf(rng, 2), np.array([[4]]))
 
 
 @pytest.mark.parametrize("b_shape", [(2, 5, 6), (5, 6)], ids=["same", "position"])
@@ -512,8 +520,10 @@ def test_feed_forward_gradcheck(rng):
     x, w1, b1, w2, b2 = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5), leaf(rng, 5, 4), leaf(rng, 4)
     tgt = Tensor(rng.normal(size=(2, 3, 4)))
 
-    def fn():  # a fresh rng per call, so every call drops the same entries
-        return ad.reduce(ad.mul(ad.feed_forward(x, w1, b1, w2, b2, 0.3, True, np.random.default_rng(0)), tgt))
+    keep = ad.dropout_mask((2, 3, 4), np.float64, 0.3, True, np.random.default_rng(0))
+
+    def fn():  # one mask, so every call drops the same entries
+        return ad.reduce(ad.mul(ad.feed_forward(x, w1, b1, w2, b2, keep), tgt))
 
     report = grad_check(fn, {"x": x, "W1": w1, "b1": b1, "W2": w2, "b2": b2}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -616,7 +626,7 @@ def test_gelu_matches_scalar_oracle(rng, dtype):
     x = x.astype(dtype)
     # x @ I and adding 0 are exact, so feed_forward returns GELU's own values
     one, zero = Tensor(np.ones((1, 1), dtype)), Tensor(np.zeros(1, dtype))
-    got = ad.feed_forward(Tensor(x[:, None]), one, zero, one, zero, 0.0, False).data[:, 0]
+    got = ad.feed_forward(Tensor(x[:, None]), one, zero, one, zero, None).data[:, 0]
     assert got.dtype == dtype
     want = np.array([_gelu_oracle(float(v)) for v in x])
     # ulps at the input's magnitude: 1 + tanh cancels for negative x, so the
@@ -633,6 +643,9 @@ def _op_cases(rng):
     mask = np.array([[True, True, False], [True, False, False]])
     gain = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     key_bias = ad.mask_bias(mask, np.float32)[:, None, None, :]
+
+    def keep(*shape):
+        return ad.dropout_mask(shape, np.float32, 0.5, True, rng)
     return [
         ("add", ad.add, (f32(2, 3), f32(3))),
         ("mul", ad.mul, (f32(2, 3), f32(2, 1))),
@@ -640,7 +653,7 @@ def _op_cases(rng):
         ("matmul", ad.matmul, (f32(2, 2, 3), f32(3, 4))),
         ("tanh", ad.tanh, (f32(2, 3),)),
         ("feed_forward",
-         lambda x, *w: ad.feed_forward(x, *w, 0.5, True, np.random.default_rng(0)),
+         lambda x, *w: ad.feed_forward(x, *w, keep(2, 3, 4)),
          (f32(2, 3, 4), f32(4, 5), f32(5), f32(5, 4), f32(4))),
         ("abs_diff", ad.abs_diff, (f32(2, 3), f32(2, 3))),
         ("softmax", lambda x: ad.softmax(x, axis=1), (f32(2, 3),)),
@@ -651,11 +664,13 @@ def _op_cases(rng):
         ("dropout", lambda x: ad.dropout(x, 0.5, True, np.random.default_rng(0)), (f32(4, 3),)),
         ("reshape", lambda x: ad.reshape(x, (3, 2)), (f32(2, 3),)),
         ("self_attention",
-         lambda x, *w: ad.self_attention(x, key_bias, *w, 2, 0.5, True, np.random.default_rng(0)),
+         lambda x, *w: ad.self_attention(x, [key_bias], *w, 2, keep(2, 2, 3, 3), keep(2, 3, 4)),
          (f32(2, 3, 4), f32(4, 4), f32(4), f32(4, 4), f32(4, 4), f32(4), f32(4, 4), f32(4))),
         ("slice", lambda x: ad.slice_axis(x, 1, 1, 3), (f32(2, 3),)),
         ("broadcast", lambda x: ad.broadcast_to(x, (2, 3)), (f32(1, 3),)),
-        ("embedding", lambda t: ad.embedding(t, np.array([[0, 2], [1, 1]])), (f32(4, 3),)),
+        ("embed", lambda t, *w: ad.embed(t, *w, np.array([0, 2, 1, 1, 3, 0, 2]), ad.row_groups([(2, 2), (1, 3)])),
+         (f32(4, 3), f32(4, 3), gain, f32(3))),
+        ("take_rows", lambda x: ad.take_rows(x, 2, (2, 2, 3), keep(2, 2, 1)), (f32(7, 3),)),
         ("add_layernorm", ad.add_layernorm, (f32(2, 3), f32(3), gain, f32(3))),
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2])), (f32(2, 3),)),
         ("frobenius_sq", lambda a, b: ad.frobenius_sq([a, b]), (f32(2, 3), f32(3))),
@@ -700,8 +715,10 @@ def test_every_op_of_the_gradcheck_model_has_a_dtype_case(rng):
 def test_gradcheck_model_tape_node_count():
     # each forward of criterion 1's 4,603 runs this tape, so a new node shows here
     ops = _tape_op_counts(gradcheck_setup(0)[2]())
-    assert sum(ops.values()) == 82
-    assert ops["add_layernorm"] == 10 and ops["layernorm"] == 0 and ops["add"] == 7
+    assert sum(ops.values()) == 69
+    assert ops["add_layernorm"] == 4 and ops["layernorm"] == 0 and ops["add"] == 7
+    # the documents and the label sequence share one pass: one embedding node, then a take of each's rows
+    assert ops["embed"] == 1 and ops["take_rows"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -731,13 +748,17 @@ def test_self_attention_gradcheck(training, case):
                 ("Wo", (d, d)), ("bo", (d,))]}
     tgt = Tensor(rng.normal(size=(k, s, d)))
     key_bias = ad.mask_bias(mask, np.float64)[:, None, None, :]
+    draws = np.random.default_rng(seed)
+    keep_p, keep_o = (ad.dropout_mask(shape, np.float64, 0.3, training, draws)
+                      for shape in [(k, heads, s, s), (k, s, d)])
 
-    def fn():  # a fresh rng per call, so every call drops the same entries
-        out = ad.self_attention(x, key_bias, *weights.values(), heads, 0.3, training,
-                                np.random.default_rng(seed))
+    def fn():  # the same masks, so every call drops the same entries
+        out = ad.self_attention(x, [key_bias], *weights.values(), heads, keep_p, keep_o)
         return ad.reduce(ad.mul(out, tgt))
 
-    report = grad_check(fn, {"x": x, **weights}, step=1e-6)
+    # at step 1e-6, roundoff (about 2e-16 |f| / step) swamps a gradient near 1e-4: with d = 1 and
+    # seed 0, Wq's reads 1.6e-6 there, 1.1e-7 at 1e-5 and 1.3e-8 at 1e-4
+    report = grad_check(fn, {"x": x, **weights}, step=1e-5)
     assert report.max_relative_error < 1e-6
 
 
@@ -842,18 +863,20 @@ def _feed_forward_case(training):
         lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
         d, f, d_out = (draw(st.integers(1, 4)) for _ in range(3))
         rate, seed = draw(st.floats(0.05, 0.9)), draw(st.integers(0, 2**32 - 1))
-        # a fresh rng per call, so every call drops the same entries
-        return ((lambda x, *w: ad.feed_forward(x, *w, rate, training, np.random.default_rng(seed))),
-                [(*lead, d), (d, f), (f,), (f, d_out), (d_out,)])
+        # one mask, so every call drops the same entries
+        keep = ad.dropout_mask((*lead, d_out), np.float64, rate, training, np.random.default_rng(seed))
+        return ((lambda x, *w: ad.feed_forward(x, *w, keep)), [(*lead, d), (d, f), (f,), (f, d_out), (d_out,)])
     return case
 
 
 def _embedding_case(draw):
-    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    # more ids than rows in each line of ids, so some row is looked up twice
-    lookups = draw(st.sampled_from([(rows + 1,), (2, rows + 2)]))
-    ids = draw(hnp.arrays(np.int64, lookups, elements=st.integers(0, rows - 1)))
-    return (lambda table: ad.embedding(table, ids)), [(rows, width)]
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(3, 5))  # width >= 3, as in _add_layernorm_case
+    # more ids than rows in each group, so some row is looked up twice
+    shapes = draw(st.sampled_from([[(1, rows + 1)], [(2, rows + 2)], [(2, rows + 1), (1, rows + 2)]]))
+    groups = ad.row_groups(shapes)
+    ids = draw(hnp.arrays(np.int64, groups[-1][3], elements=st.integers(0, rows - 1)))
+    return ((lambda table, pos, g, b: ad.embed(table, pos, g, b, ids, groups)),
+            [(rows, width), (rows + 2, width), (width,), (width,)])
 
 
 def _cross_entropy_case(draw):
@@ -904,56 +927,70 @@ def test_op_gradcheck_over_random_shapes(op, data):
 
 @pytest.mark.parametrize("rate, rng", [(1.0, np.random.default_rng(0)), (0.1, None)])
 def test_self_attention_keeps_dropout_checks(rate, rng):
-    x = Tensor(np.ones((1, 2, 2)))
-    w, b = Tensor(np.eye(2)), Tensor(np.zeros(2))
+    # self_attention takes its masks from dropout_mask, which the encoder calls before the first layer
     with pytest.raises(ValueError, match="dropout"):
-        ad.self_attention(x, np.zeros((1, 1, 1, 2)), w, b, w, w, b, w, b, 1, rate, True, rng)
+        ad.dropout_mask((1, 1, 2, 2), np.float64, rate, True, rng)
+    cfg = encoder.EncoderConfig(vocab_size=4, d=2, n_layers=1, n_heads=1, dropout=0.1)
+    params = encoder.init_params(encoder.param_specs(cfg), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dropout"):
+        encoder.encode(np.ones((1, 2), int), np.ones((1, 2), bool), cfg, params, True, None)
 
 
-def _twenty_node_attention(x, key_bias, params, prefix, config, training, rng):
-    """The op chain self_attention replaced, in plain numpy: projections, contiguous
-    head split, key transpose, scale, bias softmax, dropout, context, merge, output."""
-    K, S, d = x.shape
+def _group_rows(a, groups):
+    """a's rows of each group, as K x S x d arrays."""
+    return [a[start:stop].reshape(k, s, -1) for k, s, start, stop in groups]
+
+
+def _twenty_node_attention(x, key_bias, params, prefix, config, keep_p, keep_o, groups):
+    """The op chain self_attention replaced, in plain numpy and one group at a time: projections,
+    contiguous head split, key transpose, scale, bias softmax, dropout, context, merge, output."""
     heads = config.n_heads
-    dk = d // heads
 
     def w(name):
         return params[prefix + "attn." + name].data
 
-    def split(t):
-        return np.ascontiguousarray(t.reshape(K, S, heads, dk).transpose(0, 2, 1, 3))
+    outs, offset = [], 0
+    for xg, bias in zip(_group_rows(x.data, groups), key_bias):
+        K, S, d = xg.shape
+        dk = d // heads
+        keep = None if keep_p is None else keep_p[offset:offset + K * heads * S * S].reshape(K, heads, S, S)
+        offset += K * heads * S * S
 
-    def dropout(t):
-        if not training:
-            return t
-        keep = (rng.random(t.shape) >= config.dropout).astype(t.dtype)
-        return t * keep * (1.0 / (1.0 - config.dropout))
+        def split(t):
+            return np.ascontiguousarray(t.reshape(K, S, heads, dk).transpose(0, 2, 1, 3))
 
-    q = split(np.matmul(x.data, w("Wq")) + w("bq"))
-    k = split(np.matmul(x.data, w("Wk")))
-    v = split(np.matmul(x.data, w("Wv")) + w("bv"))
-    scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    scores = scores + key_bias
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    probs = dropout(e / e.sum(axis=-1, keepdims=True))
-    ctx = np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(K, S, d)
-    return Tensor(dropout(np.matmul(ctx, w("Wo")) + w("bo")))
+        q = split(np.matmul(xg, w("Wq")) + w("bq"))
+        k = split(np.matmul(xg, w("Wk")))
+        v = split(np.matmul(xg, w("Wv")) + w("bv"))
+        scores = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
+        scores = scores + bias
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        if keep is not None:
+            probs = probs * keep
+        ctx = np.ascontiguousarray(np.matmul(probs, v).transpose(0, 2, 1, 3)).reshape(K, S, d)
+        outs.append((np.matmul(ctx, w("Wo")) + w("bo")).reshape(K * S, d))
+    out = np.concatenate(outs)
+    return Tensor(out if keep_o is None else out * keep_o)
 
 
-def _six_node_feed_forward(x, params, prefix, config, training, rng):
-    """The op chain feed_forward replaced, in plain numpy: matmul, add, gelu, matmul, add, dropout."""
+def _six_node_feed_forward(x, params, prefix, config, keep, groups):
+    """The op chain feed_forward replaced, in plain numpy: matmul, add, gelu, matmul, add, dropout;
+    the GEMMs one group at a time."""
     def w(name):
         return params[prefix + "ffn." + name].data
 
-    h = np.matmul(x.data, w("W1"))
+    def matmul(a, b):
+        return np.concatenate([np.matmul(part, b).reshape(-1, b.shape[1]) for part in _group_rows(a, groups)])
+
+    h = matmul(x.data, w("W1"))
     h = h + w("b1")
     t = np.tanh(0.7978845608028654 * (h + 0.044715 * (h * h * h)))
     h = 0.5 * h * (1.0 + t)
-    h = np.matmul(h, w("W2"))
+    h = matmul(h, w("W2"))
     h = h + w("b2")
-    if training:
-        keep = (rng.random(h.shape) >= config.dropout).astype(h.dtype)
-        h = h * keep * (1.0 / (1.0 - config.dropout))
+    if keep is not None:
+        h = h * keep
     return Tensor(h)
 
 
@@ -995,6 +1032,102 @@ def test_encode_matches_six_node_feed_forward_bitwise(monkeypatch, training, k_b
     fused = run()
     monkeypatch.setattr(encoder, "_feed_forward", _six_node_feed_forward)
     assert fused == run()
+
+
+# ---------------------------------------------------------------------------
+# one pass over sequence groups
+
+LABEL_LEN = 10  # the label sequence of train-agnews' four names
+
+
+def _pass_bytes(training, k_batch, seq, d, heads, grouped):
+    """float32 documents and a label sequence through one two-group pass, or through separate encode
+    and encode_labels_once calls: the outputs, every parameter gradient and the rng's next draw."""
+    rng = np.random.default_rng(seq)
+    config = encoder.EncoderConfig(vocab_size=40, d=d, n_layers=2, n_heads=heads, max_positions=64)
+    params = encoder.init_params(encoder.param_specs(config), rng, np.float32)
+    for p in params.values():
+        p.data[...] = rng.normal(0.0, 0.3, size=p.shape)
+    ids = rng.integers(0, 40, size=(k_batch, seq))
+    mask = rng.random((k_batch, seq)) > 0.3
+    mask[:, 0] = True
+    label_ids = rng.integers(0, 40, size=LABEL_LEN)  # a label id also among the documents' ids
+    draws = np.random.default_rng(7)
+    if grouped:
+        docs, labels = encoder.encode_groups([(ids, mask), encoder.label_group(label_ids)], config, params,
+                                             training, draws)
+    else:
+        docs = encoder.encode(ids, mask, config, params, training, draws)
+        labels = encoder.encode_labels_once(label_ids, config, params, training, draws)
+    outputs = [docs.tokens, docs.pooled, labels.tokens, labels.pooled]
+    loss = None
+    for out in outputs:
+        term = ad.reduce(ad.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        loss = term if loss is None else ad.add(loss, term)
+    backward(loss)
+    return ([out.data.tobytes() for out in outputs], {name: p.grad.tobytes() for name, p in params.items()},
+            draws.random())
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
+def test_two_group_pass_matches_separate_encodes_bitwise(training, k_batch, seq, d, heads):
+    grouped = _pass_bytes(training, k_batch, seq, d, heads, grouped=True)
+    separate = _pass_bytes(training, k_batch, seq, d, heads, grouped=False)
+    assert grouped[0] == separate[0]  # the outputs
+    assert grouped[1] == separate[1]  # every parameter's gradient
+    assert grouped[2] == separate[2]  # the dropout stream
+
+
+@st.composite
+def group_cases(draw):
+    """K x S documents with a random key mask (one key kept per row), a 1 x L label sequence, and a seed."""
+    k, s, length = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # d >= 3: at width 2 the layer norm's output is +-1 whatever its input, so no gradient reaches the tables
+    heads, dk = draw(st.sampled_from([(1, 3), (2, 2), (3, 1)]))
+    mask = draw(hnp.arrays(bool, (k, s)))
+    mask[np.arange(k), draw(hnp.arrays(np.int64, k, elements=st.integers(0, s - 1)))] = True
+    return k, s, length, heads, dk, mask, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("training", [False, True])
+@settings(max_examples=25)
+@given(case=group_cases())
+def test_grouped_ops_gradcheck(training, case):
+    """float64 embed, self_attention, feed_forward and take_rows over two groups."""
+    k, s, length, heads, dk, mask, seed = case
+    d, vocab = heads * dk, 5
+    rng = np.random.default_rng(seed)
+    shapes = [("table", (vocab, d)), ("pos", (6, d)), ("gain", (d,)), ("bias", (d,)), ("Wq", (d, d)),
+              ("bq", (d,)), ("Wk", (d, d)), ("Wv", (d, d)), ("bv", (d,)), ("Wo", (d, d)), ("bo", (d,)),
+              ("W1", (d, 3)), ("b1", (3,)), ("W2", (3, d)), ("b2", (d,))]
+    w = {name: leaf(rng, *shape) for name, shape in shapes}
+    w["gain"].data += 1.0
+    ids = rng.integers(0, vocab, size=k * s + length)
+    groups = ad.row_groups([(k, s), (1, length)])
+    masks = [mask, np.ones((1, length), bool)]
+    key_bias = [ad.mask_bias(m, np.float64)[:, None, None, :] for m in masks]
+    draws = np.random.default_rng(seed)
+
+    def keep(*shape):
+        return ad.dropout_mask(shape, np.float64, 0.3, training, draws)
+
+    keep_p = keep(k * heads * s * s + heads * length * length)
+    keep_o, keep_f = keep(k * s + length, d), keep(k * s + length, d)
+    factors = [m[:, :, None].astype(np.float64) for m in masks]
+    targets = [Tensor(rng.normal(size=(n, m, d))) for n, m in [(k, s), (1, length)]]
+
+    def fn():  # the same masks, so every call drops the same entries
+        x = ad.embed(w["table"], w["pos"], w["gain"], w["bias"], ids, groups)
+        x = ad.self_attention(x, key_bias, *(w[n] for n in ("Wq", "bq", "Wk", "Wv", "bv", "Wo", "bo")), heads,
+                              keep_p, keep_o, groups)
+        x = ad.feed_forward(x, w["W1"], w["b1"], w["W2"], w["b2"], keep_f, groups)
+        terms = [ad.reduce(ad.mul(ad.take_rows(x, start, (n, m, d), factor), target))
+                 for (n, m, start, _), factor, target in zip(groups, factors, targets)]
+        return ad.add(*terms)
+
+    report = grad_check(fn, w, step=1e-6)
+    assert report.max_relative_error < 1e-6
 
 
 # the fused ops' forward and backward as first written, one fresh array per operator: the
@@ -1114,7 +1247,7 @@ def test_self_attention_matches_out_of_place_formulas_bitwise(training, k_batch,
     want = _attention_out_of_place(arrays[0], key_bias, *arrays[1:], heads, keep_p, keep_o, g)
 
     def op(x, *weights):
-        return ad.self_attention(x, key_bias, *weights, heads, RATE, training, np.random.default_rng(7))
+        return ad.self_attention(x, [key_bias], *weights, heads, keep_p, keep_o)
 
     _assert_fused_matches(op, arrays, g, *want)
 
@@ -1129,7 +1262,7 @@ def test_feed_forward_matches_out_of_place_formulas_bitwise(training, k_batch, s
     want = _feed_forward_out_of_place(*arrays, keep, g)
 
     def op(*ts):
-        return ad.feed_forward(*ts, RATE, training, np.random.default_rng(7))
+        return ad.feed_forward(*ts, keep)
 
     _assert_fused_matches(op, arrays, g, *want)
 

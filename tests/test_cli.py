@@ -463,6 +463,8 @@ HEADER_DAMAGE = {
     "bool-d": lambda h: {**h, "encoder": {**h["encoder"], "d": True}},
     "float-layers": lambda h: {**h, "encoder": {**h["encoder"], "n_layers": 2.0}},
     "empty-label-name": lambda h: {**h, "label_names": ["", *h["label_names"][1:]]},
+    # the three one-token names make a 7-token label sequence
+    "label-sequence-too-long": lambda h: {**h, "encoder": {**h["encoder"], "max_positions": 6}},
 }
 
 
@@ -780,6 +782,17 @@ def test_train_bad_label_names_exit_1_before_reading_the_csv(capsys, labels, mes
     code, out, err = run_cli(capsys, "train", "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv", *labels)
     assert code == 1 and out == ""
     assert message in err and "/no/such.csv" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_over_long_label_sequence_exits_1_before_reading_the_csv(capsys, command):
+    # 200 two-token names: CLS, 400 name tokens, 199 commas and SEP
+    names = ",".join(f"name{i} x" for i in range(200))
+    code, _, err = run_cli(capsys, command, "--train-csv", "/no/such.csv", "--test-csv", "/no/such.csv",
+                           "--labels", names)
+    assert code == 1
+    assert "200 label names make a label sequence of 601 tokens, more than max_positions 512" in err
+    assert "/no/such.csv" not in err
 
 
 def test_train_negative_seed_exits_1_before_reading_the_csv(capsys):

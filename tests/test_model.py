@@ -229,10 +229,14 @@ def test_loaded_model_records_no_tape_and_encodes_labels_once(tmp_path, rng, mon
     loaded = IdeaModel.load(tmp_path / "model.ckpt")
     assert loaded.is_frozen
     assert all(not p.requires_grad and not p.data.flags.writeable for p in loaded.params.values())
-    calls = []
-    encode_labels_once = idea.model.encode_labels_once
-    monkeypatch.setattr(idea.model, "encode_labels_once",
-                        lambda *args, **kwargs: calls.append(1) or encode_labels_once(*args, **kwargs))
+    calls = []  # one entry per encoder pass that carries the label sequence
+    encode_groups = idea.model.encode_groups
+
+    def counted(groups, *args):
+        calls.extend(1 for ids, _ in groups if np.array_equal(ids, model.label_ids[None]))
+        return encode_groups(groups, *args)
+
+    monkeypatch.setattr(idea.model, "encode_groups", counted)
     for n_docs in range(1, 6):
         batch = make_batches(sample_docs(rng, n_docs), vocab, batch_size=n_docs)[0]
         logits, feats = loaded.forward(batch.token_ids, batch.pad_mask)
@@ -315,6 +319,15 @@ def test_frozen_parameters_are_views_of_one_read_only_array(tmp_path, source):
         start += p.data.size
         with pytest.raises(ValueError, match="WRITEABLE"):
             p.data.setflags(write=True)
+
+
+def test_over_long_label_sequence_is_rejected_at_construction():
+    names = [f"t{i}" for i in range(9)]  # CLS, 9 one-token names, 8 commas and SEP: 19 tokens
+    vocab = Vocab.from_tokens(names + [","])
+    with pytest.raises(ValueError, match="^9 label names make a label sequence of 19 tokens, more than "
+                                         "max_positions 16$"):
+        IdeaModel(EncoderConfig(vocab_size=len(vocab), max_positions=16), names, vocab)
+    IdeaModel(EncoderConfig(vocab_size=len(vocab), max_positions=19), names, vocab)
 
 
 def test_frozen_model_rejects_a_training_forward(rng):
@@ -414,9 +427,11 @@ def replaced(tokens: list, old: str, new) -> list:
     (lambda h: with_vocab(h, lambda v: v + ["extra"]), "vocab has 18 tokens but vocab_size is 17"),
     (lambda h: with_vocab(h, lambda v: replaced(v, "finance", "finances")),
      "vocab lacks the label tokens \\['finance'\\]"),
+    (lambda h: {**h, "encoder": {**h["encoder"], "max_positions": 6}},
+     "3 label names make a label sequence of 7 tokens, more than max_positions 6"),
 ], ids=["not-json", "not-utf8", "missing-key", "no-crc32", "backend", "renamed", "string-shape",
         "swapped", "missing-param", "extra-param", "vocab-duplicate", "vocab-no-specials", "vocab-string",
-        "vocab-non-string", "vocab-length", "vocab-no-label-token"])
+        "vocab-non-string", "vocab-length", "vocab-no-label-token", "label-sequence-too-long"])
 def test_checkpoint_rejects_bad_header(tmp_path, edit, match):
     model, _ = build_model(dtype=np.float32)
     path = tmp_path / "model.ckpt"

@@ -654,6 +654,41 @@ def test_train_step_tape_keeps_no_more_bytes_than_recorded():
     assert _tape_bytes(loss) <= 14_358_260
 
 
+def _held_arrays(value):
+    """The arrays in value, also inside lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _held_arrays(item)]
+    return []
+
+
+def test_train_step_tape_bytes_count_what_closures_hold_per_group():
+    """The figure above, counting also the arrays a closure holds in lists and tuples: self_attention
+    keeps its intermediates per group of the encoder's pass, one tuple each, as separate passes did."""
+    names = ["World", "Sports", "Business", "Sci/Tech"]
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(50)]
+    docs = [Document(" ".join(rng.choice(words, 22)), i % 4) for i in range(32)]
+    config = TrainConfig(label_names=names)
+    model, _ = _built(config, docs)
+    batch, = make_batches(docs, model.vocab, config.batch_size)
+    loss, _, _ = model.loss(batch, config.lambda_l2, training=True, rng=np.random.default_rng(1))
+    buffers, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.lineage is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        cells = [c.cell_contents for c in node.lineage.backward_fn.__closure__ or ()]
+        for arr in _held_arrays([node.data, *cells]):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+        stack.extend(node.lineage.inputs)
+    assert sum(buffers.values()) <= 14_358_260  # 14,030,880 when the documents and labels share one pass
+
+
 # ---------------------------------------------------------------------------
 # export
 
