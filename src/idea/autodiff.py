@@ -223,59 +223,46 @@ def mask_bias(mask, dtype) -> np.ndarray:
     return np.where(m, 0.0, -np.inf).astype(dtype)
 
 
-def softmax(x: Tensor, axis: int = -1, bias: np.ndarray | None = None) -> Tensor:
-    """Exp-normalize along an axis, subtracting the slice max for stability.
+def softmax(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """Exp-normalize along the last axis, subtracting the row max for stability.
 
     bias, broadcastable to x, is added to the scores first; a -inf entry
     (see mask_bias) gives its position weight exactly 0.
     """
     data = x.data
-    if not (-data.ndim <= axis < data.ndim):
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {data.shape}")
     if bias is not None:
         data = data + bias
-    e = np.exp(data - np.max(data, axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(data - np.max(data, axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.sum(g * y, axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _result(y, (x,), backward_fn, "softmax")
 
 
-def reduce(x: Tensor, axis=None, kind: str = "sum", keepdims: bool = False) -> Tensor:
-    """Sum or mean over an axis (or everything when axis is None)."""
-    if kind not in ("sum", "mean"):
-        raise ValueError(f"reduce: unknown kind {kind!r}")
+def mean(x: Tensor) -> Tensor:
+    """The mean over axis 1, kept as an axis of length 1."""
     data = x.data
-    if axis is not None and not (-data.ndim <= axis < data.ndim):
-        raise ShapeError(f"reduce: axis {axis} invalid for shape {data.shape}")
-    out = data.sum(axis=axis, keepdims=keepdims)
-    count = data.size if axis is None else data.shape[axis]
-    if kind == "mean":
-        out = out / count
+    count = data.shape[1]
+    out = data.sum(axis=1, keepdims=True) / count
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        g = np.broadcast_to(g, data.shape)
-        if kind == "mean":
-            g = g / count
-        return (g,)
+        return (np.broadcast_to(g, data.shape) / count,)
 
-    return _result(out, (x,), backward_fn, "reduce_" + kind)
+    return _result(out, (x,), backward_fn, "reduce_mean")
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: list[Tensor]) -> Tensor:
+    """The parts joined along axis 1."""
     if not parts:
         raise ValueError("concat: empty list")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    data = np.concatenate([p.data for p in parts], axis=1)
+    offsets = np.cumsum([p.data.shape[1] for p in parts])[:-1]
 
     def backward_fn(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, offsets, axis=1))
 
     return _result(data, tuple(parts), backward_fn, "concat")
 
@@ -310,12 +297,12 @@ def apply_dropout(x: Tensor, keep: np.ndarray | None) -> Tensor:
     return _result(x.data * keep, (x,), backward_fn, "dropout")
 
 
-# Groups: consecutive blocks of a tensor's rows (its leading axes flattened), each
-# block K sequences of length S, as (K, S, first row, end row) per block; see
-# row_groups. A grouped op treats every group as if it ran on that group alone:
-# attention looks only within a group, its GEMMs are the group's own, and each
-# parameter gradient is summed within each group and the sums then added, as
-# separate passes and backward() would add them.
+# Groups: consecutive blocks of an N x d tensor's rows, each block K sequences of
+# length S, as (K, S, first row, end row) per block; see row_groups. A grouped op
+# treats every group as if it ran on that group alone: attention looks only
+# within a group, its GEMMs are the group's own, and each parameter gradient is
+# summed within each group and the sums then added, as separate passes and
+# backward() would add them.
 Groups = tuple[tuple[int, int, int, int], ...]
 
 
@@ -342,23 +329,22 @@ def _add_groups(per_group) -> list[np.ndarray]:
 
 def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: Tensor, bv: Tensor,
                    Wo: Tensor, bo: Tensor, heads: int, keep_p: np.ndarray | None, keep_o: np.ndarray | None,
-                   groups: Groups | None = None) -> Tensor:
+                   groups: Groups) -> Tensor:
     """Multi-head scaled dot-product self-attention within each group of x's rows, as one tape node.
 
-    x is K x S x d, one group, unless groups (see Groups) splits its rows.
-    key_bias[i] (see mask_bias) broadcasts to group i's K x heads x S x S
-    scores. keep_p (see dropout_mask) hits the attention weights, every
-    group's K x heads x S x S of them in a row, and keep_o the output; None
-    drops nothing. The backward pass is written out by hand; a group's
-    weight gradients are single GEMMs over its K*S rows. Without a gradient
-    to record, the dropped weights overwrite the probabilities. Each group's
-    intermediates stay its own arrays, as a pass over it alone makes them.
+    x is N x d, its rows split by groups (see Groups). key_bias[i] (see
+    mask_bias) broadcasts to group i's K x heads x S x S scores. keep_p (see
+    dropout_mask) hits the attention weights, every group's K x heads x S x S
+    of them in a row, and keep_o the output; None drops nothing. The
+    backward pass is written out by hand; a group's weight gradients are
+    single GEMMs over its K*S rows. Without a gradient to record, the dropped
+    weights overwrite the probabilities. Each group's intermediates stay its
+    own arrays, as a pass over it alone makes them.
     """
     inputs = (x, Wq, bq, Wk, Wv, bv, Wo, bo)
     reuse = not _needs_grad(inputs)  # no backward reads the intermediates
-    d = x.data.shape[-1]
-    xd = x.data.reshape(-1, d)
-    groups = groups or row_groups([x.data.shape[:2]])
+    xd = x.data
+    d = xd.shape[1]
     alpha = 1.0 / math.sqrt(d // heads)
     out = np.empty_like(xd)
     saved, start = [], 0  # per group, what its backward reads; where its weights' mask starts in keep_p
@@ -386,11 +372,9 @@ def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: 
         saved.append((q, k, v, probs, keep, weights, ctx))
     out += bo.data
     if keep_o is not None:
-        keep_o = keep_o.reshape(out.shape)
         out *= keep_o
 
     def backward_fn(g):
-        g = g.reshape(xd.shape)
         if keep_o is not None:
             g = g * keep_o
         gx = np.empty_like(xd)
@@ -414,9 +398,9 @@ def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: 
             return x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv, gv.sum(axis=0), ctx.T @ gg, gg.sum(axis=0)
 
         grads = _add_groups(group_grads(*group, *s) for group, s in zip(groups, saved))
-        return (gx.reshape(x.data.shape), *grads)
+        return (gx, *grads)
 
-    return _result(out.reshape(x.data.shape), inputs, backward_fn, "self_attention")
+    return _result(out, inputs, backward_fn, "self_attention")
 
 
 def _split_heads(t: np.ndarray, k_batch: int, heads: int) -> np.ndarray:
@@ -432,19 +416,19 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
+LAYER_NORM_EPS = 1e-12  # BERT's
 
 
 def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, keep: np.ndarray | None,
-                 groups: Groups | None = None) -> Tensor:
-    """(gelu(x W1 + b1) W2 + b2) * keep over x's last axis, as one tape node.
+                 groups: Groups) -> Tensor:
+    """(gelu(x W1 + b1) W2 + b2) * keep over the N x d rows of x, as one tape node.
 
     GELU is the tanh approximation; keep is a dropout_mask of the output's
-    shape, or None. x is one group unless groups (see Groups) splits its
-    rows. Each group's GEMMs are its own, as if it ran alone: BLAS may round
-    a few rows differently inside a larger product. The backward pass is
-    written out by hand; a group's weight gradients are single GEMMs over
-    its rows. Without a gradient to record, the activation overwrites the
-    pre-activation.
+    shape, or None. Each group's (see Groups) GEMMs are its own, as if it
+    ran alone: BLAS may round a few rows differently inside a larger
+    product. The backward pass is written out by hand; a group's weight
+    gradients are single GEMMs over its rows. Without a gradient to record,
+    the activation overwrites the pre-activation.
     """
     inputs = (x, W1, b1, W2, b2)
     reuse = not _needs_grad(inputs)  # no backward reads the intermediates
@@ -467,40 +451,34 @@ def feed_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, keep
     def backward_fn(g):
         if keep is not None:
             g = g * keep
-        g = g.reshape(-1, g.shape[-1])  # one row per position of x
-        n = len(g)
-        h2, t2 = h.reshape(n, -1), t.reshape(n, -1)
         # gelu' = 0.5 (1 + t) + (0.5 h) (1 - t^2) (C (1 + 3 * 0.044715 h^2)), in that association
-        dgelu = np.multiply(h2, 0.5)
-        s = np.multiply(t2, t2)
+        dgelu = np.multiply(h, 0.5)
+        s = np.multiply(t, t)
         dgelu *= np.subtract(1.0, s, out=s)
-        np.multiply(h2, 3 * 0.044715, out=s)
-        s *= h2
+        np.multiply(h, 3 * 0.044715, out=s)
+        s *= h
         s += 1.0
         s *= _GELU_C
         dgelu *= s
-        np.add(t2, 1.0, out=s)
+        np.add(t, 1.0, out=s)
         s *= 0.5
         dgelu += s
-        x2, act2 = xd.reshape(n, -1), act.reshape(n, -1)
-        gx = np.empty_like(x2)
+        gx = np.empty_like(xd)
 
         def group_grads(i, j):
             gh = g[i:j] @ W2.data.T
             gh *= dgelu[i:j]
             np.matmul(gh, W1.data.T, out=gx[i:j])
-            return x2[i:j].T @ gh, gh.sum(axis=0), act2[i:j].T @ g[i:j], g[i:j].sum(axis=0)
+            return xd[i:j].T @ gh, gh.sum(axis=0), act[i:j].T @ g[i:j], g[i:j].sum(axis=0)
 
-        grads = _add_groups(group_grads(i, j) for _, _, i, j in groups or row_groups([(1, n)]))
-        return (gx.reshape(xd.shape), *grads)
+        grads = _add_groups(group_grads(i, j) for _, _, i, j in groups)
+        return (gx, *grads)
 
     return _result(out, inputs, backward_fn, "feed_forward")
 
 
-def _group_matmul(a: np.ndarray, b: np.ndarray, groups: Groups | None) -> np.ndarray:
-    """a @ b, as one K x S x width product per group of a's rows when groups are given."""
-    if groups is None:
-        return np.matmul(a, b)
+def _group_matmul(a: np.ndarray, b: np.ndarray, groups: Groups) -> np.ndarray:
+    """a @ b, as one K x S x width product per group of a's rows."""
     rows = [np.matmul(a[i:j].reshape(k_batch, seq, -1), b).reshape(j - i, -1) for k_batch, seq, i, j in groups]
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
@@ -560,24 +538,23 @@ def take_rows(x: Tensor, start: int, shape, factor: np.ndarray) -> Tensor:
 
 
 def embed(tokens: Tensor, positions: Tensor, gain: Tensor, bias: Tensor, ids: np.ndarray,
-          groups: Groups | None = None, eps: float = 1e-12) -> Tensor:
+          groups: Groups) -> Tensor:
     """Normalize each row's token vector plus its position vector, then apply a gain and bias; one tape node.
 
-    ids index the rows of the token table; those of a group (see Groups; by
-    default ids is one K x S group) take positions 0 .. S-1 once per
-    sequence. The normalization is add_layernorm's. The tables' gradients
-    scatter-add back into one table per group, and those are then added.
+    ids, one per row, index the rows of the token table; those of a group
+    (see Groups) take positions 0 .. S-1 once per sequence. The
+    normalization is add_layernorm's. The tables' gradients scatter-add back
+    into one table per group, and those are then added.
     """
     ids = np.asarray(ids)
     rows, width = tokens.data.shape
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ShapeError(f"embed: ids outside [0, {rows}) in lookup")
-    groups = groups or row_groups([ids.shape])
     inputs = (tokens, positions, gain, bias)
     xc = tokens.data[ids]
     for k_batch, seq, i, j in groups:
-        xc.reshape(-1, width)[i:j].reshape(k_batch, seq, width)[...] += positions.data[:seq]
-    data, xhat, std = _layernorm(xc, gain, bias, eps, reuse=not _needs_grad(inputs))
+        xc[i:j].reshape(k_batch, seq, width)[...] += positions.data[:seq]
+    data, xhat, std = _layernorm(xc, gain, bias, reuse=not _needs_grad(inputs))
 
     def table_grads(dx, flat, k_batch, seq, i, j):
         gt = np.zeros_like(tokens.data)
@@ -589,35 +566,32 @@ def embed(tokens: Tensor, positions: Tensor, gain: Tensor, bias: Tensor, ids: np
     def backward_fn(g):
         dx, dgain, dbias = _layernorm_grads(g, xc, xhat, std, gain, groups)
         flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)  # each looked-up entry's flat index
-        dx = dx.reshape(-1, width)
         return (*_add_groups(table_grads(dx, flat, *group) for group in groups), dgain, dbias)
 
     return _result(data, inputs, backward_fn, "embed")
 
 
-def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12,
-                  groups: Groups | None = None) -> Tensor:
-    """Normalize a + b (broadcast) over the last axis, then apply a learned gain and bias; one tape node.
+def add_layernorm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor, groups: Groups) -> Tensor:
+    """Normalize a + b, of one shape, over the last axis, then apply a learned gain and bias; one tape node.
 
     The gain's and bias's gradients are summed over each group's rows (see
-    Groups; by default one group of all rows). Without a gradient to record,
-    the normalized values and then the output overwrite the sum.
+    Groups). Without a gradient to record, the normalized values and then
+    the output overwrite the sum.
     """
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add_layernorm: shapes {a.data.shape} and {b.data.shape} differ")
     inputs = (a, b, gain, bias)
-    try:
-        xc = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add_layernorm: cannot broadcast {a.data.shape} with {b.data.shape}")
-    data, xhat, std = _layernorm(xc, gain, bias, eps, reuse=not _needs_grad(inputs))
+    xc = a.data + b.data
+    data, xhat, std = _layernorm(xc, gain, bias, reuse=not _needs_grad(inputs))
 
     def backward_fn(g):
         dx, dgain, dbias = _layernorm_grads(g, xc, xhat, std, gain, groups)
-        return _unbroadcast(dx, a.data.shape), _unbroadcast(dx, b.data.shape), dgain, dbias
+        return dx, dx, dgain, dbias
 
     return _result(data, inputs, backward_fn, "add_layernorm")
 
 
-def _layernorm(xc: np.ndarray, gain: Tensor, bias: Tensor, eps: float, reuse: bool):
+def _layernorm(xc: np.ndarray, gain: Tensor, bias: Tensor, reuse: bool):
     """Normalize xc over its last axis, in place (xc becomes the centred values), then gain and bias.
 
     Returns the output, the normalized values and the row std. With reuse
@@ -629,7 +603,7 @@ def _layernorm(xc: np.ndarray, gain: Tensor, bias: Tensor, eps: float, reuse: bo
     xc -= np.add.reduce(xc, axis=-1, keepdims=True) / dim
     sq = xc * xc
     std = np.add.reduce(sq, axis=-1, keepdims=True) / dim
-    std += eps
+    std += LAYER_NORM_EPS
     np.sqrt(std, out=std)
     xhat = np.divide(xc, std, out=xc if reuse else sq)
     data = np.multiply(xhat, gain.data, out=xhat if reuse else None)
@@ -637,13 +611,11 @@ def _layernorm(xc: np.ndarray, gain: Tensor, bias: Tensor, eps: float, reuse: bo
     return data, xhat, std
 
 
-def _layernorm_grads(g, xc, xhat, std, gain: Tensor, groups: Groups | None):
+def _layernorm_grads(g, xc, xhat, std, gain: Tensor, groups: Groups):
     """_layernorm's backward: the gradient of its input, and of the gain and bias summed per group."""
     dim = xc.shape[-1]
     s = g * xhat
-    s2, g2 = s.reshape(-1, dim), g.reshape(-1, dim)
-    dgain, dbias = _add_groups((s2[i:j].sum(axis=0), g2[i:j].sum(axis=0))
-                               for _, _, i, j in groups or row_groups([(1, len(s2))]))
+    dgain, dbias = _add_groups((s[i:j].sum(axis=0), g[i:j].sum(axis=0)) for _, _, i, j in groups)
     dx = g * gain.data  # d loss / d xhat, turned into d loss / d x in place
     dvar = np.multiply(dx, xc, out=s).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
     np.negative(dx, out=s)

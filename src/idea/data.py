@@ -77,14 +77,6 @@ class Vocab:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
-    def decode(self, ids, drop_special: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if drop_special and i in (PAD, UNK, CLS, SEP):
-                continue
-            out.append(self.id_to_token[int(i)])
-        return out
-
     def save(self, path) -> None:
         # one token per line in id order; the first 4 lines are the specials
         with atomic_open(path, "w", encoding="utf-8") as fh:

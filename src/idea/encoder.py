@@ -18,7 +18,6 @@ from .autodiff import Tensor
 INIT_STD = 0.02
 BACKEND = "mini-transformer"
 FFN_MULT = 4  # BERT's feed-forward width, 4 d
-LAYER_NORM_EPS = 1e-12  # BERT's
 
 
 @dataclass
@@ -99,9 +98,9 @@ def _feed_forward(x, params, prefix, config, keep, groups):
 def _encoder_layer(x, key_bias, params, prefix, config, keeps, groups):
     keep_p, keep_o, keep_f = keeps
     attn = _self_attention(x, key_bias, params, prefix, config, keep_p, keep_o, groups)
-    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], LAYER_NORM_EPS, groups)
+    x = ad.add_layernorm(x, attn, params[prefix + "ln1.g"], params[prefix + "ln1.b"], groups)
     h = _feed_forward(x, params, prefix, config, keep_f, groups)
-    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], LAYER_NORM_EPS, groups)
+    return ad.add_layernorm(x, h, params[prefix + "ln2.g"], params[prefix + "ln2.b"], groups)
 
 
 def _dropout_masks(shapes, config: EncoderConfig, dtype, training: bool, rng) -> list:
@@ -150,7 +149,7 @@ def encode_groups(
     keeps = _dropout_masks(shapes, config, dtype, training, rng)
 
     x = ad.embed(params["token_emb"], params["pos_emb"], params["emb_ln.g"], params["emb_ln.b"],
-                 np.concatenate([token_ids.reshape(-1) for token_ids in ids]), rows, LAYER_NORM_EPS)
+                 np.concatenate([token_ids.reshape(-1) for token_ids in ids]), rows)
     x = ad.apply_dropout(x, keeps[0])
     # PAD keys get exactly zero weight in every layer
     key_bias = [ad.mask_bias(mask, dtype)[:, None, None, :] for mask in masks]
@@ -190,8 +189,8 @@ def pool_label_vectors(label_output: EncoderOutput, spans: list[tuple[int, int]]
         if not (0 <= start < stop <= seq):
             raise ValueError(f"pool_label_vectors: empty or invalid span ({start}, {stop})")
         seg = ad.slice_axis(label_output.tokens, 1, start, stop)
-        parts.append(ad.reduce(seg, axis=1, kind="mean", keepdims=True))
-    return ad.concat(parts, axis=1)
+        parts.append(ad.mean(seg))
+    return ad.concat(parts)
 
 
 def encode_labels_once(

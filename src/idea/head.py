@@ -89,7 +89,7 @@ def _attend(
     projected = ad.matmul(vectors, w)  # K x n x d
     raw = ad.reshape(ad.matmul(projected, ad.reshape(query, (k_batch, d, 1))), (k_batch, n))
     scores = ad.tanh(ad.add(raw, b))
-    weights = ad.softmax(scores, axis=1, bias=bias)
+    weights = ad.softmax(scores, bias)
     attended = ad.reshape(ad.matmul(ad.reshape(weights, (k_batch, 1, n)), vectors), (k_batch, d))
     return weights, attended
 
@@ -151,9 +151,9 @@ def weighted_features(
         raise ad.ShapeError(f"weighted_features: shapes {p.shape} and {d_feat.shape} differ")
     if gamma_mode != GAMMA_MODE:
         raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {GAMMA_MODE!r}")
-    mean_p = ad.reduce(p, axis=1, kind="mean", keepdims=True)  # K x 1
-    mean_d = ad.reduce(d_feat, axis=1, kind="mean", keepdims=True)
-    pair = ad.softmax(ad.concat([mean_p, mean_d], axis=1), axis=1)  # K x 2
+    mean_p = ad.mean(p)  # K x 1
+    mean_d = ad.mean(d_feat)
+    pair = ad.softmax(ad.concat([mean_p, mean_d]))  # K x 2
     gamma = ad.slice_axis(pair, 1, 1, 2)  # K x 1
     # eta computed as 1 - gamma so the pair sums to exactly 1.0
     eta = ad.add(Tensor(np.ones((1, 1), dtype=gamma.dtype)), ad.scale(gamma, -1.0))
@@ -177,7 +177,7 @@ def assemble_z(
     blocks = [named[name] for name in _Z_BLOCKS[ablation.mode]]
     if len(blocks) == 1:
         return blocks[0]
-    return ad.concat(blocks, axis=1)
+    return ad.concat(blocks)
 
 
 def classify(z: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

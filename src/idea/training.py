@@ -219,7 +219,7 @@ def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
         sq *= sq
         total += float(sq.sum())
     norm = math.sqrt(total)
-    if max_norm and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
             p.grad *= factor

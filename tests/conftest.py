@@ -7,7 +7,9 @@ from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from idea import autodiff as ad
 from idea import synthetic
+from idea.autodiff import Tensor
 from idea.encoder import INIT_STD
 
 # every property test is reproducible run to run; each sets only its own max_examples
@@ -45,6 +47,17 @@ def noisy_corpus(tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def total(x: Tensor, weights: Tensor | None = None) -> Tensor:
+    """The sum of x's entries, each times its entry of weights (1 without weights), as a 0-d scalar loss.
+
+    Built from the program's own ops: x's entries as a 1 x n row, times the
+    weights as an n x 1 column, reshaped to (); the gradient of x is the weights.
+    """
+    n = x.data.size
+    column = np.ones((n, 1), x.data.dtype) if weights is None else weights.data.reshape(n, 1)
+    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), Tensor(column)), ())
 
 
 def draw_normal_classifier(params, rng) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import idea
+from conftest import total
 from idea import autodiff as ad
 from idea import encoder
 from idea.cli import gradcheck_setup
@@ -46,14 +47,14 @@ def test_matmul_hand_computed():
 def test_matmul_gradcheck(rng):
     a = leaf(rng, 4, 5)
     b = leaf(rng, 5, 3)
-    report = grad_check(lambda: ad.reduce(ad.tanh(ad.matmul(a, b))), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(ad.matmul(a, b))), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
 def test_matmul_batched_gradcheck(rng):
     a = leaf(rng, 2, 3, 4)
     w = leaf(rng, 4, 4)
-    report = grad_check(lambda: ad.reduce(ad.tanh(ad.matmul(a, w))), {"a": a, "w": w}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(ad.matmul(a, w))), {"a": a, "w": w}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
@@ -72,10 +73,9 @@ def zeros(*shape):
     (lambda: ad.matmul(zeros(3), zeros(3, 2)), ["(3,)", "(3, 2)"]),
     (lambda: ad.matmul(zeros(2, 3, 4), zeros(3, 4, 5)), ["(2, 3, 4)", "(3, 4, 5)"]),
     (lambda: ad.abs_diff(zeros(2, 3), zeros(3, 2)), ["(2, 3)", "(3, 2)"]),
-    (lambda: ad.softmax(zeros(2, 3), axis=2), ["axis 2", "(2, 3)"]),
     (lambda: ad.broadcast_to(zeros(2, 3), (4, 3)), ["(2, 3)", "(4, 3)"]),
     (lambda: ad.cross_entropy(zeros(2, 3), np.zeros(3, dtype=np.int64)), ["(3,)", "(2,)"]),
-], ids=["add", "matmul-1d", "matmul-leading-axes", "abs_diff", "softmax-axis", "broadcast_to", "cross_entropy-gold"])
+], ids=["add", "matmul-1d", "matmul-leading-axes", "abs_diff", "broadcast_to", "cross_entropy-gold"])
 def test_shape_guard_names_both_shapes(call, named):
     with pytest.raises(ShapeError) as err:
         call()
@@ -98,7 +98,7 @@ def test_tanh_odd_symmetry(rng):
 
 def test_tanh_gradcheck(rng):
     x = leaf(rng, 2, 3)
-    report = grad_check(lambda: ad.reduce(ad.tanh(x)), {"x": x}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(x)), {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
@@ -107,12 +107,12 @@ def test_tanh_gradcheck(rng):
 
 
 def test_softmax_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
+    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=1e-15)
 
 
 def test_softmax_large_values_stable():
-    out = ad.softmax(Tensor([1000.0, 0.0]), axis=0)
+    out = ad.softmax(Tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
@@ -120,8 +120,8 @@ def test_softmax_large_values_stable():
 def test_masked_softmax_matches_dense_on_unmasked():
     a, b = 0.7, -1.2
     bias = ad.mask_bias(np.array([True, True, False]), np.float64)
-    masked = ad.softmax(Tensor([a, b, 123.0]), axis=0, bias=bias)
-    dense = ad.softmax(Tensor([a, b]), axis=0)
+    masked = ad.softmax(Tensor([a, b, 123.0]), bias)
+    dense = ad.softmax(Tensor([a, b]))
     # two-term closed form
     za = math.exp(a) / (math.exp(a) + math.exp(b))
     np.testing.assert_allclose(masked.data[:2], dense.data, rtol=1e-15)
@@ -158,7 +158,7 @@ def masked_scores(draw):
 def test_softmax_key_bias_matches_where_formula_bitwise(case):
     scores, mask = case
     key_bias = ad.mask_bias(mask, scores.dtype)[:, None, None, :]
-    y = ad.softmax(Tensor(scores), axis=-1, bias=key_bias).data
+    y = ad.softmax(Tensor(scores), key_bias).data
     want = _where_masked_softmax(scores, mask[:, None, None, :], axis=-1)
     assert y.dtype == scores.dtype
     assert y.tobytes() == want.tobytes()
@@ -171,7 +171,7 @@ def test_softmax_rows_are_distributions(rng):
         x = Tensor(rng.normal(size=(4, 7)) * 10)
         mask = rng.random((4, 7)) > 0.3
         mask[:, 0] = True
-        y = ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)).data
+        y = ad.softmax(x, ad.mask_bias(mask, x.dtype)).data
         assert np.all(y >= 0) and np.all(y <= 1)
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(y[~mask] == 0.0)
@@ -184,7 +184,7 @@ def test_softmax_gradcheck_masked(rng):
     tgt = Tensor(rng.normal(size=(3, 5)))
 
     def fn():
-        return ad.reduce(ad.mul(ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)), tgt))
+        return total(ad.softmax(x, ad.mask_bias(mask, x.dtype)), tgt)
 
     report = grad_check(fn, {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -208,7 +208,7 @@ def test_hadamard_shape_mismatch():
 def test_hadamard_gradcheck(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 3, 4)
-    report = grad_check(lambda: ad.reduce(ad.mul(a, b)), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.mul(a, b)), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
@@ -226,14 +226,14 @@ def test_abs_diff_gradcheck_off_ties(rng):
     # keep |a - b| well away from 0 so the kink cannot bias the differences
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(a.data + rng.choice([-1.0, 1.0], size=(3, 4)) * (0.5 + rng.random((3, 4))), requires_grad=True)
-    report = grad_check(lambda: ad.reduce(ad.abs_diff(a, b)), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.abs_diff(a, b)), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
 def test_abs_diff_tie_subgradient_zero():
     a = Tensor([1.0], requires_grad=True)
     out = ad.abs_diff(a, Tensor([1.0]))
-    backward(ad.reduce(out))
+    backward(total(out))
     np.testing.assert_array_equal(a.grad, [0.0])
 
 
@@ -242,57 +242,41 @@ def test_abs_diff_tie_subgradient_zero():
 
 
 def test_reduce_mean():
-    assert float(ad.reduce(Tensor([2.0, 4.0, 6.0]), kind="mean").data) == 4.0
-
-
-def test_reduce_unknown_kind():
-    with pytest.raises(ValueError, match="reduce: unknown kind 'max'"):
-        ad.reduce(Tensor(np.zeros((2, 2))), kind="max")
-
-
-def test_reduce_invalid_axis():
-    with pytest.raises(ShapeError):
-        ad.reduce(Tensor(np.zeros((2, 2))), axis=5)
+    assert ad.mean(Tensor([[2.0, 4.0, 6.0]])).data.tolist() == [[4.0]]
+    x = np.arange(12.0).reshape(2, 3, 2)  # a label span of K x L x d token vectors
+    np.testing.assert_array_equal(ad.mean(Tensor(x)).data, x.sum(axis=1, keepdims=True) / 3)
 
 
 def test_reduce_gradcheck(rng):
     x = leaf(rng, 3, 4)
-    report = grad_check(lambda: ad.reduce(ad.tanh(ad.reduce(x, axis=1, kind="mean"))), {"x": x}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(ad.mean(x))), {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
-
-
-@pytest.mark.parametrize("kind", ["sum", "mean"])
-def test_reduce_zero_d_input_gradient(kind):
-    x = Tensor(np.array(3.0), requires_grad=True)
-    backward(ad.reduce(x, kind=kind))
-    assert x.grad.shape == ()
-    assert float(x.grad) == 1.0
 
 
 def test_concat_shapes(rng):
     a = Tensor(rng.normal(size=(5, 3)))
     b = Tensor(rng.normal(size=(5, 3)))
-    out = ad.concat([a, b], axis=1)
+    out = ad.concat([a, b])
     assert out.shape == (5, 6)
     np.testing.assert_array_equal(out.data[:, :3], a.data)
 
 
 def test_concat_empty_list():
     with pytest.raises(ValueError):
-        ad.concat([], axis=0)
+        ad.concat([])
 
 
 def test_concat_gradcheck(rng):
     a = leaf(rng, 2, 3)
     b = leaf(rng, 2, 2)
-    report = grad_check(lambda: ad.reduce(ad.tanh(ad.concat([a, b], axis=1))), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(ad.concat([a, b]))), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
 def test_add_broadcast_gradcheck(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4)
-    report = grad_check(lambda: ad.reduce(ad.tanh(ad.add(a, b))), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.tanh(ad.add(a, b))), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error < 1e-6
 
 
@@ -300,7 +284,7 @@ def test_scale(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
     out = ad.scale(x, -2.5)
     np.testing.assert_allclose(out.data, -2.5 * x.data)
-    backward(ad.reduce(out))
+    backward(total(out))
     np.testing.assert_allclose(x.grad, -2.5)
 
 
@@ -383,13 +367,13 @@ def test_frobenius_empty_list():
 
 def test_backward_sum_gives_ones(rng):
     x = leaf(rng, 3, 3)
-    backward(ad.reduce(x))
+    backward(total(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 3)))
 
 
 def test_backward_accumulates_reused_tensor(rng):
     x = leaf(rng, 4)
-    backward(ad.reduce(ad.add(x, x)))
+    backward(total(ad.add(x, x)))
     np.testing.assert_array_equal(x.grad, 2 * np.ones(4))
 
 
@@ -399,7 +383,7 @@ def test_first_gradient_is_never_shared(rng, add_first):
     a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
     w, c = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
     parts = [ad.mul(ad.add(a, b), w), ad.mul(a, c)]
-    backward(ad.reduce(ad.add(*(parts if add_first else parts[::-1]))))
+    backward(total(ad.add(*(parts if add_first else parts[::-1]))))
     np.testing.assert_array_equal(b.grad, w.data)
     np.testing.assert_array_equal(a.grad, w.data + c.data)
     assert not np.shares_memory(a.grad, b.grad)
@@ -413,7 +397,7 @@ def test_backward_non_scalar_raises(rng):
 def test_backward_leaves_non_required_grads_zero(rng):
     x = leaf(rng, 3)
     c = Tensor(rng.normal(size=(3,)))  # requires_grad=False
-    backward(ad.reduce(ad.mul(x, c)))
+    backward(total(ad.mul(x, c)))
     np.testing.assert_array_equal(c.grad, np.zeros(3))
 
 
@@ -431,14 +415,14 @@ def test_backward_detects_cycle(rng):
     y = ad.scale(x, 2.0)
     x.lineage = ad.Lineage("hack", (y,), lambda g: (g,))  # wire a cycle on purpose
     with pytest.raises(ad.CyclicLineageError):
-        backward(ad.reduce(y))
+        backward(total(y))
 
 
 def test_forward_deterministic(rng):
     x = Tensor(rng.normal(size=(4, 4)))
     w = Tensor(rng.normal(size=(4, 4)))
-    a = ad.softmax(ad.matmul(x, w), axis=1).data
-    b = ad.softmax(ad.matmul(x, w), axis=1).data
+    a = ad.softmax(ad.matmul(x, w)).data
+    b = ad.softmax(ad.matmul(x, w)).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -451,7 +435,7 @@ def test_reshape_slice_gradcheck(rng):
 
     def fn():
         y = ad.slice_axis(ad.reshape(x, (2, 6, 2, 2)), 1, 1, 5)
-        return ad.reduce(ad.tanh(y))
+        return total(ad.tanh(y))
 
     report = grad_check(fn, {"x": x}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -461,36 +445,37 @@ def test_embedding_lookup_and_scatter(rng):
     # embed is add_layernorm of the looked-up token rows and the position rows, whose
     # gradient scatters back: into the rows looked up, and summed over sequences by position
     table, pos, gain, bias = leaf(rng, 6, 3), leaf(rng, 4, 3), leaf(rng, 3), leaf(rng, 3)
-    ids = np.array([[0, 2, 2], [5, 0, 1]])
-    tgt = Tensor(rng.normal(size=(2, 3, 3)))
-    out = ad.embed(table, pos, gain, bias, ids)
-    assert out.shape == (2, 3, 3)
-    a, b = Tensor(table.data[ids], requires_grad=True), Tensor(pos.data[:3], requires_grad=True)
-    want = ad.add_layernorm(a, b, gain, bias)
+    ids = np.array([0, 2, 2, 5, 0, 1])  # two sequences of three
+    groups = ad.row_groups([(2, 3)])
+    tgt = Tensor(rng.normal(size=(6, 3)))
+    out = ad.embed(table, pos, gain, bias, ids, groups)
+    assert out.shape == (6, 3)
+    a, b = Tensor(table.data[ids], requires_grad=True), Tensor(np.tile(pos.data[:3], (2, 1)), requires_grad=True)
+    want = ad.add_layernorm(a, b, gain, bias, groups)
     assert out.data.tobytes() == want.data.tobytes()
-    backward(ad.reduce(ad.mul(out, tgt)))
-    backward(ad.reduce(ad.mul(want, tgt)))
-    np.testing.assert_allclose(table.grad[2], a.grad[0, 1] + a.grad[0, 2], rtol=1e-12)  # looked up twice
+    backward(total(out, tgt))
+    backward(total(want, tgt))
+    np.testing.assert_allclose(table.grad[2], a.grad[1] + a.grad[2], rtol=1e-12)  # looked up twice
     assert not table.grad[3].any() and not table.grad[4].any()  # never looked up
-    np.testing.assert_array_equal(pos.grad[:3], b.grad)
+    np.testing.assert_array_equal(pos.grad[:3], b.grad.reshape(2, 3, 3).sum(axis=0))
     assert not pos.grad[3].any()  # beyond the sequence
 
 
 def test_embedding_id_out_of_range(rng):
     with pytest.raises(ShapeError):
-        ad.embed(leaf(rng, 4, 2), leaf(rng, 2, 2), leaf(rng, 2), leaf(rng, 2), np.array([[4]]))
+        ad.embed(leaf(rng, 4, 2), leaf(rng, 2, 2), leaf(rng, 2), leaf(rng, 2), np.array([4]), ad.row_groups([(1, 1)]))
 
 
-@pytest.mark.parametrize("b_shape", [(2, 5, 6), (5, 6)], ids=["same", "position"])
-def test_add_layernorm_gradcheck(rng, b_shape):
-    # b of shape (S, d) against a's (K, S, d) is the position embedding's case
-    a, b = leaf(rng, 2, 5, 6), leaf(rng, *b_shape)
+@pytest.mark.parametrize("shapes", [[(2, 5)], [(2, 3), (1, 4)]], ids=["same", "two-groups"])
+def test_add_layernorm_gradcheck(rng, shapes):
+    groups = ad.row_groups(shapes)
+    a, b = leaf(rng, groups[-1][3], 6), leaf(rng, groups[-1][3], 6)
     g = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), requires_grad=True)
     beta = leaf(rng, 6)
-    tgt = Tensor(rng.normal(size=(2, 5, 6)))
+    tgt = Tensor(rng.normal(size=a.shape))
 
     def fn():
-        return ad.reduce(ad.mul(ad.add_layernorm(a, b, g, beta, eps=1e-12), tgt))
+        return total(ad.add_layernorm(a, b, g, beta, groups), tgt)
 
     report = grad_check(fn, {"a": a, "b": b, "g": g, "beta": beta}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -498,32 +483,34 @@ def test_add_layernorm_gradcheck(rng, b_shape):
 
 def test_add_layernorm_shape_mismatch():
     d3 = Tensor(np.ones(3))
-    with pytest.raises(ShapeError) as err:
-        ad.add_layernorm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))), d3, d3)
-    assert "(2, 3)" in str(err.value) and "(4,)" in str(err.value)
+    for b_shape in [(4,), (3,)]:  # (3,) would broadcast: add_layernorm adds operands of one shape only
+        with pytest.raises(ShapeError) as err:
+            ad.add_layernorm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(b_shape)), d3, d3, ad.row_groups([(1, 2)]))
+        assert "(2, 3)" in str(err.value) and str(b_shape) in str(err.value)
 
 
-@pytest.mark.parametrize("a_shape, b_shape", [((4, 7, 16), (7, 16)), ((3, 5), (3, 5)), ((2, 9, 64), (2, 9, 64))],
-                         ids=["position", "same-2d", "same-3d"])
-def test_add_layernorm_matches_layernorm_of_add_bitwise(rng, a_shape, b_shape):
-    a, b, gain, bias = (rng.normal(0.0, 2.0, size=shape).astype(np.float32)
-                        for shape in (a_shape, b_shape, a_shape[-1:], a_shape[-1:]))
+@pytest.mark.parametrize("shape", [(3, 5), (2, 9, 64)], ids=["same-2d", "same-3d"])
+def test_add_layernorm_matches_layernorm_of_add_bitwise(rng, shape):
+    a, b, gain, bias = (rng.normal(0.0, 2.0, size=s).astype(np.float32)
+                        for s in (shape, shape, shape[-1:], shape[-1:]))
     # the two ops add_layernorm replaced: add, then layernorm with .mean()
     v = a + b
     xc = v - v.mean(axis=-1, keepdims=True)
     want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12) * gain + bias
-    got = ad.add_layernorm(Tensor(a), Tensor(b), Tensor(gain), Tensor(bias), 1e-12).data
+    n = math.prod(shape[:-1])  # add_layernorm takes the operands' rows
+    got = ad.add_layernorm(Tensor(a.reshape(n, -1)), Tensor(b.reshape(n, -1)), Tensor(gain), Tensor(bias),
+                           ad.row_groups([(1, n)])).data
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def test_feed_forward_gradcheck(rng):
-    x, w1, b1, w2, b2 = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5), leaf(rng, 5, 4), leaf(rng, 4)
-    tgt = Tensor(rng.normal(size=(2, 3, 4)))
+    x, w1, b1, w2, b2 = leaf(rng, 6, 4), leaf(rng, 4, 5), leaf(rng, 5), leaf(rng, 5, 4), leaf(rng, 4)
+    tgt = Tensor(rng.normal(size=(6, 4)))
 
-    keep = ad.dropout_mask((2, 3, 4), np.float64, 0.3, True, np.random.default_rng(0))
+    keep = ad.dropout_mask((6, 4), np.float64, 0.3, True, np.random.default_rng(0))
 
     def fn():  # one mask, so every call drops the same entries
-        return ad.reduce(ad.mul(ad.feed_forward(x, w1, b1, w2, b2, keep), tgt))
+        return total(ad.feed_forward(x, w1, b1, w2, b2, keep, ad.row_groups([(2, 3)])), tgt)
 
     report = grad_check(fn, {"x": x, "W1": w1, "b1": b1, "W2": w2, "b2": b2}, step=1e-6)
     assert report.max_relative_error < 1e-6
@@ -532,7 +519,7 @@ def test_feed_forward_gradcheck(rng):
 def test_broadcast_to_gradcheck(rng):
     x = leaf(rng, 1, 4)
     report = grad_check(
-        lambda: ad.reduce(ad.tanh(ad.broadcast_to(x, (5, 4)))), {"x": x}, step=1e-6
+        lambda: total(ad.tanh(ad.broadcast_to(x, (5, 4)))), {"x": x}, step=1e-6
     )
     assert report.max_relative_error < 1e-6
 
@@ -540,7 +527,7 @@ def test_broadcast_to_gradcheck(rng):
 def test_gradcheck_report_invariant(rng):
     a = leaf(rng, 2, 2)
     b = leaf(rng, 2, 2)
-    report = grad_check(lambda: ad.reduce(ad.mul(a, b)), {"a": a, "b": b}, step=1e-6)
+    report = grad_check(lambda: total(ad.mul(a, b)), {"a": a, "b": b}, step=1e-6)
     assert report.max_relative_error == max(report.per_parameter_errors.values())
     assert set(report.per_parameter_errors) == {"a", "b"}
     assert report.step_size == 1e-6
@@ -551,7 +538,7 @@ def test_grad_check_finite_differences_record_no_tape(rng):
     taped = []
 
     def fn():
-        out = ad.reduce(ad.tanh(ad.add(a, b)))
+        out = total(ad.tanh(ad.add(a, b)))
         taped.append(out.lineage is not None)
         return out
 
@@ -569,7 +556,7 @@ def test_grad_check_restores_requires_grad(rng, fail_at):
         calls.append(None)
         if len(calls) == fail_at:  # a finite-difference forward, partway through a
             raise RuntimeError("fn failed")
-        return ad.reduce(ad.mul(ad.add(a, c), b))
+        return total(ad.mul(ad.add(a, c), b))
 
     if fail_at is None:
         grad_check(fn, {"a": a, "b": b, "c": c}, step=1e-6)
@@ -585,7 +572,7 @@ def test_grad_check_error_is_0_only_for_two_zero_gradients_and_inf_when_not_fini
     weight = Tensor(np.array([1.0, 1.0]))
 
     def fn():
-        return ad.reduce(ad.mul(x, weight))
+        return total(ad.mul(x, weight))
 
     report = grad_check(fn, {"x": x, "unused": unused})
     assert report.per_parameter_errors["unused"] == 0.0 and report.max_relative_error < 1e-8
@@ -626,7 +613,7 @@ def test_gelu_matches_scalar_oracle(rng, dtype):
     x = x.astype(dtype)
     # x @ I and adding 0 are exact, so feed_forward returns GELU's own values
     one, zero = Tensor(np.ones((1, 1), dtype)), Tensor(np.zeros(1, dtype))
-    got = ad.feed_forward(Tensor(x[:, None]), one, zero, one, zero, None).data[:, 0]
+    got = ad.feed_forward(Tensor(x[:, None]), one, zero, one, zero, None, ad.row_groups([(1, len(x))])).data[:, 0]
     assert got.dtype == dtype
     want = np.array([_gelu_oracle(float(v)) for v in x])
     # ulps at the input's magnitude: 1 + tanh cancels for negative x, so the
@@ -653,25 +640,25 @@ def _op_cases(rng):
         ("matmul", ad.matmul, (f32(2, 2, 3), f32(3, 4))),
         ("tanh", ad.tanh, (f32(2, 3),)),
         ("feed_forward",
-         lambda x, *w: ad.feed_forward(x, *w, keep(2, 3, 4)),
-         (f32(2, 3, 4), f32(4, 5), f32(5), f32(5, 4), f32(4))),
+         lambda x, *w: ad.feed_forward(x, *w, keep(6, 4), ad.row_groups([(2, 3)])),
+         (f32(6, 4), f32(4, 5), f32(5), f32(5, 4), f32(4))),
         ("abs_diff", ad.abs_diff, (f32(2, 3), f32(2, 3))),
-        ("softmax", lambda x: ad.softmax(x, axis=1), (f32(2, 3),)),
-        ("softmax_masked", lambda x: ad.softmax(x, axis=1, bias=ad.mask_bias(mask, x.dtype)), (f32(2, 3),)),
-        ("reduce_sum", lambda x: ad.reduce(x, axis=1), (f32(2, 3),)),
-        ("reduce_mean", lambda x: ad.reduce(x, axis=0, kind="mean"), (f32(2, 3),)),
-        ("concat", lambda a, b: ad.concat([a, b], axis=1), (f32(2, 3), f32(2, 2))),
+        ("softmax", ad.softmax, (f32(2, 3),)),
+        ("softmax_masked", lambda x: ad.softmax(x, ad.mask_bias(mask, x.dtype)), (f32(2, 3),)),
+        ("reduce_mean", ad.mean, (f32(2, 3),)),
+        ("concat", lambda a, b: ad.concat([a, b]), (f32(2, 3), f32(2, 2))),
         ("dropout", lambda x: ad.dropout(x, 0.5, True, np.random.default_rng(0)), (f32(4, 3),)),
         ("reshape", lambda x: ad.reshape(x, (3, 2)), (f32(2, 3),)),
         ("self_attention",
-         lambda x, *w: ad.self_attention(x, [key_bias], *w, 2, keep(2, 2, 3, 3), keep(2, 3, 4)),
-         (f32(2, 3, 4), f32(4, 4), f32(4), f32(4, 4), f32(4, 4), f32(4), f32(4, 4), f32(4))),
+         lambda x, *w: ad.self_attention(x, [key_bias], *w, 2, keep(2, 2, 3, 3), keep(6, 4), ad.row_groups([(2, 3)])),
+         (f32(6, 4), f32(4, 4), f32(4), f32(4, 4), f32(4, 4), f32(4), f32(4, 4), f32(4))),
         ("slice", lambda x: ad.slice_axis(x, 1, 1, 3), (f32(2, 3),)),
         ("broadcast", lambda x: ad.broadcast_to(x, (2, 3)), (f32(1, 3),)),
         ("embed", lambda t, *w: ad.embed(t, *w, np.array([0, 2, 1, 1, 3, 0, 2]), ad.row_groups([(2, 2), (1, 3)])),
          (f32(4, 3), f32(4, 3), gain, f32(3))),
         ("take_rows", lambda x: ad.take_rows(x, 2, (2, 2, 3), keep(2, 2, 1)), (f32(7, 3),)),
-        ("add_layernorm", ad.add_layernorm, (f32(2, 3), f32(3), gain, f32(3))),
+        ("add_layernorm", lambda a, b, g, beta: ad.add_layernorm(a, b, g, beta, ad.row_groups([(1, 2)])),
+         (f32(2, 3), f32(2, 3), gain, f32(3))),
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2])), (f32(2, 3),)),
         ("frobenius_sq", lambda a, b: ad.frobenius_sq([a, b]), (f32(2, 3), f32(3))),
     ]
@@ -685,7 +672,7 @@ def test_float32_ops_stay_float32(rng):
         assert out.data.dtype == np.float32, name
         grads = out.lineage.backward_fn(np.ones_like(out.data))
         assert [g.dtype for g in grads] == [np.float32] * len(leaves), name
-        backward(ad.reduce(out))
+        backward(total(out))
         assert all(leaf.grad.dtype == np.float32 for leaf in leaves), name
 
 
@@ -742,19 +729,19 @@ def test_self_attention_gradcheck(training, case):
     k, s, heads, dk, mask, seed = case
     d = heads * dk
     rng = np.random.default_rng(seed)
-    x = leaf(rng, k, s, d)
+    x = leaf(rng, k * s, d)
     weights = {name: leaf(rng, *shape) for name, shape in
                [("Wq", (d, d)), ("bq", (d,)), ("Wk", (d, d)), ("Wv", (d, d)), ("bv", (d,)),
                 ("Wo", (d, d)), ("bo", (d,))]}
-    tgt = Tensor(rng.normal(size=(k, s, d)))
+    tgt = Tensor(rng.normal(size=(k * s, d)))
     key_bias = ad.mask_bias(mask, np.float64)[:, None, None, :]
     draws = np.random.default_rng(seed)
     keep_p, keep_o = (ad.dropout_mask(shape, np.float64, 0.3, training, draws)
-                      for shape in [(k, heads, s, s), (k, s, d)])
+                      for shape in [(k * heads * s * s,), (k * s, d)])
 
     def fn():  # the same masks, so every call drops the same entries
-        out = ad.self_attention(x, [key_bias], *weights.values(), heads, keep_p, keep_o)
-        return ad.reduce(ad.mul(out, tgt))
+        out = ad.self_attention(x, [key_bias], *weights.values(), heads, keep_p, keep_o, ad.row_groups([(k, s)]))
+        return total(out, tgt)
 
     # at step 1e-6, roundoff (about 2e-16 |f| / step) swamps a gradient near 1e-4: with d = 1 and
     # seed 0, Wq's reads 1.6e-6 there, 1.1e-7 at 1e-5 and 1.3e-8 at 1e-4
@@ -786,19 +773,18 @@ def _matmul_case(draw):
     return ad.matmul, [(*lead_a, n, k), (*lead_b, k, m)]
 
 
-def _reduce_case(draw):
-    shape = draw(SHAPES)
-    axis = draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
-    kind, keepdims = draw(st.sampled_from(["sum", "mean"])), draw(st.booleans())
-    return lambda x: ad.reduce(x, axis, kind, keepdims), [shape]
+SHAPES_WITH_AXIS_1 = hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=3)  # the ops over axis 1
+
+
+def _row_groups(draw):
+    """The Groups of one or two blocks of K x S rows."""
+    return ad.row_groups(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=2)))
 
 
 def _concat_case(draw):
-    shape = draw(SHAPES)
-    axis = draw(st.integers(0, len(shape) - 1))
+    shape = draw(SHAPES_WITH_AXIS_1)
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    shapes = [(*shape[:axis], n, *shape[axis + 1:]) for n in sizes]
-    return lambda *parts: ad.concat(list(parts), axis), shapes
+    return lambda *parts: ad.concat(list(parts)), [(shape[0], n, *shape[2:]) for n in sizes]
 
 
 def _slice_case(draw):
@@ -816,22 +802,17 @@ def _broadcast_to_case(draw):
 
 def _softmax_case(draw):
     shape = draw(SHAPES)
-    axis = draw(st.integers(-len(shape), len(shape) - 1))
-    keep = np.moveaxis(draw(hnp.arrays(bool, shape)), axis, -1)
-    keep[..., draw(st.integers(0, keep.shape[-1] - 1))] = True  # at least one kept per slice
-    bias = np.moveaxis(ad.mask_bias(keep, np.float64), -1, axis)
-    return lambda x: ad.softmax(x, axis, bias), [shape]
+    keep = draw(hnp.arrays(bool, shape))
+    keep[..., draw(st.integers(0, shape[-1] - 1))] = True  # at least one kept per row
+    bias = ad.mask_bias(keep, np.float64)
+    return lambda x: ad.softmax(x, bias), [shape]
 
 
 def _add_layernorm_case(draw):
-    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    groups = _row_groups(draw)
     dim = draw(st.integers(3, 5))  # at width 2 the normalized values are +-1 whatever x is
-    shape = (*lead, dim)
-    # a summand broadcast along the normalized axis shifts each row by a constant,
-    # which the norm takes out again: its gradient is exactly 0
-    small = (*_broadcastable(draw, lead), dim)
-    summands = [small, shape] if draw(st.booleans()) else [shape, small]
-    return (lambda a, b, g, beta: ad.add_layernorm(a, b, g, beta)), [*summands, (dim,), (dim,)]
+    rows = (groups[-1][3], dim)
+    return (lambda a, b, g, beta: ad.add_layernorm(a, b, g, beta, groups)), [rows, rows, (dim,), (dim,)]
 
 
 def _scale_case(draw):
@@ -860,12 +841,13 @@ def _dropout_case(draw):
 
 def _feed_forward_case(training):
     def case(draw):
-        lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+        groups = _row_groups(draw)
+        n = groups[-1][3]
         d, f, d_out = (draw(st.integers(1, 4)) for _ in range(3))
         rate, seed = draw(st.floats(0.05, 0.9)), draw(st.integers(0, 2**32 - 1))
         # one mask, so every call drops the same entries
-        keep = ad.dropout_mask((*lead, d_out), np.float64, rate, training, np.random.default_rng(seed))
-        return ((lambda x, *w: ad.feed_forward(x, *w, keep)), [(*lead, d), (d, f), (f,), (f, d_out), (d_out,)])
+        keep = ad.dropout_mask((n, d_out), np.float64, rate, training, np.random.default_rng(seed))
+        return ((lambda x, *w: ad.feed_forward(x, *w, keep, groups)), [(n, d), (d, f), (f,), (f, d_out), (d_out,)])
     return case
 
 
@@ -899,7 +881,7 @@ OP_CASES = {
     "feed_forward": _feed_forward_case(training=False),
     "feed_forward_dropout": _feed_forward_case(training=True),
     "abs_diff": _abs_diff_case,
-    "reduce": _reduce_case,
+    "reduce": lambda draw: (ad.mean, [draw(SHAPES_WITH_AXIS_1)]),
     "concat": _concat_case,
     "dropout": _dropout_case,
     "reshape": _reshape_case,
@@ -921,7 +903,7 @@ def test_op_gradcheck_over_random_shapes(op, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     leaves = {f"x{i}": leaf(rng, *shape) for i, shape in enumerate(shapes)}
     tgt = Tensor(rng.normal(size=fn(*leaves.values()).shape))
-    report = grad_check(lambda: ad.reduce(ad.mul(fn(*leaves.values()), tgt)), leaves, step=1e-6)
+    report = grad_check(lambda: total(fn(*leaves.values()), tgt), leaves, step=1e-5)
     assert report.max_relative_error < 1e-6
 
 
@@ -1062,7 +1044,7 @@ def _pass_bytes(training, k_batch, seq, d, heads, grouped):
     outputs = [docs.tokens, docs.pooled, labels.tokens, labels.pooled]
     loss = None
     for out in outputs:
-        term = ad.reduce(ad.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        term = total(out, Tensor(rng.normal(size=out.shape).astype(np.float32)))
         loss = term if loss is None else ad.add(loss, term)
     backward(loss)
     return ([out.data.tobytes() for out in outputs], {name: p.grad.tobytes() for name, p in params.items()},
@@ -1122,11 +1104,11 @@ def test_grouped_ops_gradcheck(training, case):
         x = ad.self_attention(x, key_bias, *(w[n] for n in ("Wq", "bq", "Wk", "Wv", "bv", "Wo", "bo")), heads,
                               keep_p, keep_o, groups)
         x = ad.feed_forward(x, w["W1"], w["b1"], w["W2"], w["b2"], keep_f, groups)
-        terms = [ad.reduce(ad.mul(ad.take_rows(x, start, (n, m, d), factor), target))
+        terms = [total(ad.take_rows(x, start, (n, m, d), factor), target)
                  for (n, m, start, _), factor, target in zip(groups, factors, targets)]
         return ad.add(*terms)
 
-    report = grad_check(fn, w, step=1e-6)
+    report = grad_check(fn, w, step=1e-5)
     assert report.max_relative_error < 1e-6
 
 
@@ -1175,7 +1157,7 @@ def _attention_out_of_place(xd, key_bias, Wq, bq, Wk, Wv, bv, Wo, bo, heads, kee
     gv = merge(weights.swapaxes(-1, -2) @ gctx)
     x2 = xd.reshape(k_batch * seq, d)
     gx = gq @ Wq.T + gk @ Wk.T + gv @ Wv.T
-    return out, (gx.reshape(xd.shape), x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
+    return out, (gx, x2.T @ gq, gq.sum(axis=0), x2.T @ gk, x2.T @ gv,
                  gv.sum(axis=0), ctx.T @ g, g.sum(axis=0))
 
 
@@ -1192,26 +1174,26 @@ def _feed_forward_out_of_place(xd, W1, b1, W2, b2, keep, g):
     h2, t2 = h.reshape(n, -1), t.reshape(n, -1)
     dgelu = 0.5 * (1.0 + t2) + 0.5 * h2 * (1.0 - t2 * t2) * (0.7978845608028654 * (1.0 + 3 * 0.044715 * h2 * h2))
     gh = (g @ W2.T) * dgelu
-    return out, ((gh @ W1.T).reshape(xd.shape), xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
+    return out, (gh @ W1.T, xd.reshape(n, -1).T @ gh, gh.sum(axis=0),
                  act.reshape(n, -1).T @ g, g.sum(axis=0))
 
 
-def _add_layernorm_out_of_place(a, b, gain, bias, g, eps=1e-12):
+def _add_layernorm_out_of_place(a, b, gain, bias, g, groups):
     v = a + b
     dim = v.shape[-1]
     mu = np.add.reduce(v, axis=-1, keepdims=True) / dim
     xc = v - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / dim
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + 1e-12)
     xhat = xc / std
     out = xhat * gain + bias
-    lead = tuple(range(g.ndim - 1))
     dxhat = g * gain
     dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) / (std * std * std)
     dmu = (-dxhat / std).sum(axis=-1, keepdims=True)
     dx = dxhat / std + dvar * 2.0 * xc / dim + dmu / dim
-    db = dx if b.shape == dx.shape else dx.sum(axis=0)  # b is the (S, d) position table
-    return out, (dx, db, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+    gxhat = g * xhat
+    dgain, dbias = (sum(t[i:j].sum(axis=0) for _, _, i, j in groups) for t in (gxhat, g))  # summed per group
+    return out, (dx, dx, dgain, dbias)
 
 
 def _assert_fused_matches(op, arrays, g, want_out, want_grads):
@@ -1245,11 +1227,12 @@ def test_self_attention_matches_out_of_place_formulas_bitwise(training, k_batch,
     keep_p = _keep(draws, (k_batch, heads, seq, seq)) if training else None
     keep_o = _keep(draws, (k_batch, seq, d)) if training else None
     want = _attention_out_of_place(arrays[0], key_bias, *arrays[1:], heads, keep_p, keep_o, g)
+    keep_rows = None if keep_o is None else keep_o.reshape(-1, d)
 
     def op(x, *weights):
-        return ad.self_attention(x, [key_bias], *weights, heads, keep_p, keep_o)
+        return ad.self_attention(x, [key_bias], *weights, heads, keep_p, keep_rows, ad.row_groups([(k_batch, seq)]))
 
-    _assert_fused_matches(op, arrays, g, *want)
+    _assert_fused_matches(op, [arrays[0].reshape(-1, d), *arrays[1:]], g.reshape(-1, d), *want)
 
 
 @pytest.mark.parametrize("training", [False, True])
@@ -1260,30 +1243,50 @@ def test_feed_forward_matches_out_of_place_formulas_bitwise(training, k_batch, s
     g, = _float32_arrays(rng, (k_batch, seq, d))
     keep = _keep(np.random.default_rng(7), (k_batch, seq, d)) if training else None
     want = _feed_forward_out_of_place(*arrays, keep, g)
+    keep_rows = None if keep is None else keep.reshape(-1, d)
 
     def op(*ts):
-        return ad.feed_forward(*ts, keep)
+        return ad.feed_forward(*ts, keep_rows, ad.row_groups([(k_batch, seq)]))
 
-    _assert_fused_matches(op, arrays, g, *want)
+    _assert_fused_matches(op, [arrays[0].reshape(-1, d), *arrays[1:]], g.reshape(-1, d), *want)
 
 
-@pytest.mark.parametrize("position", [False, True], ids=["same", "position"])
+@pytest.mark.parametrize("two_groups", [False, True], ids=["same", "two-groups"])
 @pytest.mark.parametrize("k_batch, seq, d, heads", ENCODE_SHAPES)
-def test_add_layernorm_matches_out_of_place_formulas_bitwise(position, k_batch, seq, d, heads):
+def test_add_layernorm_matches_out_of_place_formulas_bitwise(two_groups, k_batch, seq, d, heads):
+    # the documents' rows, then in the encoder's pass the label sequence's
+    groups = ad.row_groups([(k_batch, seq)] + [(1, LABEL_LEN)] * two_groups)
     rng = np.random.default_rng(seq)
-    arrays = _float32_arrays(rng, (k_batch, seq, d), (seq, d) if position else (k_batch, seq, d), (d,), (d,))
+    rows = (groups[-1][3], d)
+    arrays = _float32_arrays(rng, rows, rows, (d,), (d,))
     arrays[2] += 1.0  # gains near 1, as trained ones start
-    g, = _float32_arrays(rng, (k_batch, seq, d))
-    _assert_fused_matches(ad.add_layernorm, arrays, g, *_add_layernorm_out_of_place(*arrays, g))
+    g, = _float32_arrays(rng, rows)
+
+    def op(*ts):
+        return ad.add_layernorm(*ts, groups)
+
+    _assert_fused_matches(op, arrays, g, *_add_layernorm_out_of_place(*arrays, g, groups))
 
 
 def _unused_tape_ops(autodiff_source: str, other_sources: list[str]) -> set[str]:
     """Module-level functions of autodiff_source that call _result (so record a tape node)
-    and that no other source names, as `ad.<op>` on a module alias or in `from .autodiff import`."""
+    and that no other source names (see _autodiff_names)."""
     ops = {fn.name for fn in ast.parse(autodiff_source).body if isinstance(fn, ast.FunctionDef)
            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_result" for n in ast.walk(fn))}
+    return ops - _autodiff_names(other_sources)
+
+
+def _unused_public_functions(autodiff_source: str, other_sources: list[str]) -> set[str]:
+    """Module-level functions of autodiff_source without a leading underscore that no other source names."""
+    public = {fn.name for fn in ast.parse(autodiff_source).body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    return public - _autodiff_names(other_sources)
+
+
+def _autodiff_names(sources: list[str]) -> set[str]:
+    """The names the sources take from autodiff: as `ad.<name>` on a module alias or in `from .autodiff import`."""
     used = set()
-    for source in other_sources:
+    for source in sources:
         tree = ast.parse(source)
         aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                    for a in n.names if a.name == "autodiff"}
@@ -1292,7 +1295,7 @@ def _unused_tape_ops(autodiff_source: str, other_sources: list[str]) -> set[str]
                 used.update(a.name for a in n.names)
             elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases:
                 used.add(n.attr)
-    return ops - used
+    return used
 
 
 def test_unused_tape_ops_are_found():
@@ -1302,14 +1305,34 @@ def test_unused_tape_ops_are_found():
     assert _unused_tape_ops(core, ["from . import autodiff as ad\nad.helper(1)", "op = 1\nx.op(1)"]) == {"op"}
 
 
-def test_every_tape_op_has_a_user_in_the_package():
-    src = os.path.dirname(idea.__file__)
+def test_unused_public_functions_are_found():
+    core = "def _private(x): pass\ndef op(x): return x\ndef helper(x): return op(x)\n"
+    assert _unused_public_functions(core, ["from idea.autodiff import op, helper"]) == set()
+    # a call inside autodiff itself is no use by the program
+    assert _unused_public_functions(core, ["from idea import autodiff as ad\nad.op(1)"]) == {"helper"}
+
+
+def _sources(directory: str) -> dict[str, str]:
+    """Each .py file of directory, by name."""
     sources = {}
-    for name in sorted(os.listdir(src)):
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
                 sources[name] = fh.read()
+    return sources
+
+
+def test_every_tape_op_has_a_user_in_the_package():
+    sources = _sources(os.path.dirname(idea.__file__))
     assert _unused_tape_ops(sources.pop("autodiff.py"), list(sources.values())) == set()
+
+
+def test_every_public_autodiff_function_has_a_user_in_the_package_or_perfbench():
+    # the autodiff core keeps only what the program, or the benchmark that times it, calls
+    sources = _sources(os.path.dirname(idea.__file__))
+    core = sources.pop("autodiff.py")
+    perfbench = _sources(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    assert _unused_public_functions(core, [*sources.values(), *perfbench.values()]) == set()
 
 
 # ---------------------------------------------------------------------------

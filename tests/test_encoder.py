@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import total
 from idea import autodiff as ad
 from idea.autodiff import Tensor, backward, grad_check
 from idea.data import Document, LabelSet, Vocab, make_batches
@@ -152,7 +153,7 @@ def test_pooler_gradcheck(rng):
     tgt = Tensor(rng.normal(size=(2, 4)))
 
     def fn():
-        return ad.reduce(ad.mul(pooler(x, params), tgt))
+        return total(pooler(x, params), tgt)
 
     report = grad_check(fn, {**params, "x": x}, step=1e-5)
     assert report.max_relative_error < 1e-4
@@ -215,11 +216,11 @@ def test_broadcast_grads_accumulate_over_batch(rng):
 
     def loss_broadcast():
         out = encode_labels_once(label_ids, cfg, params)
-        return ad.reduce(ad.broadcast_to(out.pooled, (4, 8)))
+        return total(ad.broadcast_to(out.pooled, (4, 8)))
 
     def loss_single():
         out = encode_labels_once(label_ids, cfg, params)
-        return ad.reduce(out.pooled)
+        return total(out.pooled)
 
     for p in params.values():
         p.zero_grad()
@@ -262,8 +263,8 @@ def test_encoder_gradcheck_2layer_d8():
     def fn():
         out = encode(ids, mask, cfg, params, training=False)
         return ad.add(
-            ad.reduce(ad.mul(out.tokens, Tensor(tgt_tok))),
-            ad.reduce(ad.mul(out.pooled, Tensor(tgt_pool))),
+            total(out.tokens, Tensor(tgt_tok)),
+            total(out.pooled, Tensor(tgt_pool)),
         )
 
     report = grad_check(fn, params, step=1e-5)

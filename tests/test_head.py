@@ -283,21 +283,21 @@ def test_ablation_config_rejects_unknown_mode():
 def test_classify_zero_params_uniform(rng):
     z = Tensor(rng.normal(size=(3, 8)))
     params = classifier_params(8, 4, rng, init="zeros")
-    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
+    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]))
     np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
 
 
 def test_predict_rows_sum_to_one(rng):
     z = Tensor(rng.normal(size=(6, 8)))
     params = classifier_params(8, 5, rng, init="normal")
-    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]), axis=1)
+    probs = ad.softmax(classify(z, params["clf.W"], params["clf.b"]))
     np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_predict_shift_invariant(rng):
     logits = rng.normal(size=(4, 5))
-    a = ad.softmax(Tensor(logits), axis=1).data
-    b = ad.softmax(Tensor(logits + 7.3), axis=1).data
+    a = ad.softmax(Tensor(logits)).data
+    b = ad.softmax(Tensor(logits + 7.3)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
