@@ -229,17 +229,25 @@ def softmax(x: Tensor, bias: np.ndarray | None = None) -> Tensor:
     bias, broadcastable to x, is added to the scores first; a -inf entry
     (see mask_bias) gives its position weight exactly 0.
     """
-    data = x.data
-    if bias is not None:
-        data = data + bias
-    e = np.exp(data - np.max(data, axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data, bias)
 
     def backward_fn(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_grad(g, y),)
 
     return _result(y, (x,), backward_fn, "softmax")
+
+
+def _softmax(data: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    if bias is not None:
+        data = data + bias
+    # np.maximum.reduce and np.add.reduce are np.max's and .sum()'s arithmetic, without their Python wrappers
+    e = np.exp(data - np.maximum.reduce(data, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dot = np.sum(g * y, axis=-1, keepdims=True)
+    return y * (g - dot)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -483,6 +491,128 @@ def _group_matmul(a: np.ndarray, b: np.ndarray, groups: Groups) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
+def double_attention(tokens: Tensor, pooled: Tensor, label_pooled: Tensor, label_vectors: Tensor,
+                     W_m: Tensor, b_m: Tensor, W_t: Tensor, b_t: Tensor, clf_W: Tensor, clf_b: Tensor,
+                     query_mask: np.ndarray, blocks: tuple[str, ...],
+                     keep: np.ndarray | None) -> tuple[Tensor, tuple[Tensor, ...]]:
+    """IDEA's head as one tape node: both attentions, the gamma/eta fusion, z and the classifier.
+
+    tokens (K x S x d, CLS first) and pooled (K x d) are the documents' encoding;
+    label_pooled (1 x d) and label_vectors (1 x L x d) are the label sequence's, shared by
+    the batch. Text attention scores tokens 1.. (where query_mask, K x S-1, is True)
+    against label_pooled through W_m, b_m; label attention scores the label vectors
+    against pooled through W_t, b_t. z joins blocks, named from c, p_weighted,
+    d_weighted and s, times keep (a dropout_mask, or None); the logits are z clf_W + clf_b.
+
+    Returns the logits and head.IdeaFeatures' fields (alpha, beta, c, s, p, d_feat, gamma,
+    z) as Tensors with no lineage. Forward and backward repeat head.py's op chain operation
+    for operation, and each gradient adds its shares in the order backward() adds the
+    chain's, so both give the same bits. When z reads nothing of s, the label side gets no gradient.
+    """
+    tk = tokens.data
+    k_batch, _, d = tk.shape
+    text = np.ascontiguousarray(tk[:, 1:])
+    label_query = label_pooled.data.repeat(k_batch, axis=0)  # the chain's broadcasts, as copies
+    labels = label_vectors.data.repeat(k_batch, axis=0)
+    text_saved = _bilinear_attention(text, label_query, W_m.data, b_m.data, mask_bias(query_mask, tk.dtype))
+    label_saved = _bilinear_attention(labels, pooled.data, W_t.data, b_t.data, None)
+    alpha, c = text_saved[2:]
+    beta, s = label_saved[2:]
+    p = c * s
+    diff = c - s
+    sign = np.sign(diff)
+    d_feat = np.abs(diff)
+    means = [np.add.reduce(x, axis=1, keepdims=True) / d for x in (p, d_feat)]
+    pair = _softmax(np.concatenate(means, axis=1), None)
+    gamma = np.ascontiguousarray(pair[:, 1:])
+    eta = 1.0 - gamma  # the chain's 1 + (-1.0 * gamma): the same bits
+    named = {"c": c, "p_weighted": gamma * p, "d_weighted": eta * d_feat, "s": s}
+    z = np.concatenate([named[name] for name in blocks], axis=1)
+    if keep is not None:
+        z *= keep
+    logits = np.matmul(z, clf_W.data) + clf_b.data
+    features = tuple(Tensor(a) for a in (alpha, beta, c, s, p, d_feat, gamma.reshape(k_batch), z))
+    fused = "p_weighted" in blocks or "d_weighted" in blocks
+    label_side = fused or "s" in blocks
+    if label_side:
+        inputs = (tokens, pooled, label_pooled, label_vectors, W_m, b_m, W_t, b_t, clf_W, clf_b)
+    else:
+        inputs = (tokens, label_pooled, W_m, b_m, clf_W, clf_b)
+
+    def add(total, share):  # as backward() accumulates: the first share, then each later one added
+        return share if total is None else total + share
+
+    def backward_fn(g):
+        g_clf_W = np.matmul(np.swapaxes(z, -1, -2), g)
+        g_z = np.matmul(g, np.swapaxes(clf_W.data, -1, -2))
+        if keep is not None:
+            g_z *= keep
+        parts = dict(zip(blocks, np.split(g_z, len(blocks), axis=1)))
+        g_c, g_s = parts.get("c"), parts.get("s")
+        if fused:
+            g_p = g_d = g_gamma = None
+            if "p_weighted" in parts:
+                g_gamma = _unbroadcast(parts["p_weighted"] * p, gamma.shape)
+                g_p = parts["p_weighted"] * gamma
+            if "d_weighted" in parts:
+                g_gamma = add(g_gamma, -_unbroadcast(parts["d_weighted"] * d_feat, eta.shape))
+                g_d = parts["d_weighted"] * eta
+            g_pair = np.zeros_like(pair)
+            g_pair[:, 1:] = g_gamma
+            g_means = _softmax_grad(g_pair, pair)
+            g_p = add(g_p, np.broadcast_to(g_means[:, :1], p.shape) / d)
+            g_d = add(g_d, np.broadcast_to(g_means[:, 1:], d_feat.shape) / d)
+            # backward()'s depth-first walk finishes first the one of p and d_feat it reaches through
+            # its weighted block (d_weighted's when z has it), so it adds the other's share first
+            shares = [(g_p * s, g_p * c), (g_d * sign, -g_d * sign)]
+            for c_share, s_share in shares if "d_weighted" in parts else shares[::-1]:
+                g_c, g_s = add(g_c, c_share), add(g_s, s_share)
+        g_text, g_label_query, g_W_m, g_b_m = _bilinear_attention_grads(g_c, text, label_query, W_m.data,
+                                                                        *text_saved[:3])
+        g_tokens = np.zeros_like(tk)
+        g_tokens[:, 1:] = g_text
+        g_label_pooled = _unbroadcast(g_label_query, label_pooled.data.shape)
+        g_clf_b = _unbroadcast(g, clf_b.data.shape)
+        if not label_side:
+            return g_tokens, g_label_pooled, g_W_m, g_b_m, g_clf_W, g_clf_b
+        g_labels, g_pooled, g_W_t, g_b_t = _bilinear_attention_grads(g_s, labels, pooled.data, W_t.data,
+                                                                     *label_saved[:3])
+        return (g_tokens, g_pooled, g_label_pooled, _unbroadcast(g_labels, label_vectors.data.shape),
+                g_W_m, g_b_m, g_W_t, g_b_t, g_clf_W, g_clf_b)
+
+    return _result(logits, inputs, backward_fn, "double_attention"), features
+
+
+def _bilinear_attention(vectors, query, w, b, bias):
+    """head._attend on arrays: tanh(v_i W q + b) scores, softmaxed with bias, weight the v_i.
+
+    Returns the projected vectors, the scores, the weights and the attended vector.
+    """
+    k_batch, n, d = vectors.shape
+    projected = np.matmul(vectors, w)
+    scores = np.matmul(projected, query.reshape(k_batch, d, 1)).reshape(k_batch, n)
+    scores += b
+    np.tanh(scores, out=scores)
+    weights = _softmax(scores, bias)
+    return projected, scores, weights, np.matmul(weights.reshape(k_batch, 1, n), vectors).reshape(k_batch, d)
+
+
+def _bilinear_attention_grads(g, vectors, query, w, projected, scores, weights):
+    """_bilinear_attention's backward from the attended vector's gradient g, as its op chain's:
+    the gradients of the vectors, the query, w (per sample, then summed) and b."""
+    k_batch, n, d = vectors.shape
+    g = g.reshape(k_batch, 1, d)
+    g_vectors = np.matmul(np.swapaxes(weights.reshape(k_batch, 1, n), -1, -2), g)
+    g_scores = _softmax_grad(np.matmul(g, np.swapaxes(vectors, -1, -2)).reshape(k_batch, n), weights)
+    g_scores *= 1.0 - scores * scores
+    g_raw = g_scores.reshape(k_batch, n, 1)
+    g_projected = np.matmul(g_raw, np.swapaxes(query.reshape(k_batch, d, 1), -1, -2))
+    g_query = np.matmul(np.swapaxes(projected, -1, -2), g_raw).reshape(k_batch, d)
+    g_vectors += np.matmul(g_projected, np.swapaxes(w, -1, -2))
+    g_w = _unbroadcast(np.matmul(np.swapaxes(vectors, -1, -2), g_projected), w.shape)
+    return g_vectors, g_query, g_w, _unbroadcast(g_scores, ())
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = x.data.reshape(shape)
@@ -657,10 +787,10 @@ def frobenius_sq(params: list[Tensor]) -> Tensor:
     """Sum of squared entries across a list of weight tensors."""
     if not params:
         raise ValueError("frobenius_sq: empty parameter list")
-    data = np.asarray(
-        sum(float(np.sum(p.data * p.data)) for p in params),
-        dtype=params[0].data.dtype,
-    )
+    total = 0.0  # a loop, not sum(): since Python 3.12 sum() compensates float rounding
+    for p in params:
+        total += float(np.sum(p.data * p.data))
+    data = np.asarray(total, dtype=params[0].data.dtype)
 
     def backward_fn(g):
         return tuple(g * 2.0 * p.data for p in params)

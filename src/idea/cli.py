@@ -286,7 +286,10 @@ def cmd_ablate(ns) -> int:
     for mode in ABLATION_MODES:
         xs = accs[mode]
         n = len(xs)
-        mean = sum(xs) / n
+        mean = 0.0  # a loop, not sum(): since Python 3.12 sum() compensates float rounding
+        for x in xs:
+            mean += x
+        mean /= n
         std = statistics.stdev(xs) if n > 1 else 0.0
         stderr = std / math.sqrt(n)
         if n > 1:

@@ -5,6 +5,8 @@ pooled vector; label attention scores each class vector against the
 document's pooled vector. The two attended vectors are compared through
 an elementwise product and an absolute difference, mixed by a softmax of
 their feature means, and concatenated into the classifier input z.
+IdeaModel runs this op chain as one tape node, autodiff.double_attention;
+the functions here are the reference it is checked against, bit for bit.
 """
 from __future__ import annotations
 
@@ -38,8 +40,13 @@ class AblationConfig:
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {self.mode!r}; expected one of {ABLATION_MODES}")
 
+    @property
+    def blocks(self) -> tuple[str, ...]:
+        """The names of z's blocks, in order."""
+        return _Z_BLOCKS[self.mode]
+
     def z_width(self, d: int) -> int:
-        return len(_Z_BLOCKS[self.mode]) * d
+        return len(self.blocks) * d
 
 
 @dataclass

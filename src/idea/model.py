@@ -109,28 +109,17 @@ class IdeaModel:
     ) -> tuple[Tensor, IdeaFeatures]:
         ids = np.asarray(token_ids)
         mask = np.asarray(pad_mask, dtype=bool)
-        k_batch = ids.shape[0]
-        d = self.encoder_config.d
-
         if training and self.is_frozen:
             raise ValueError("a frozen model cannot run a training forward; train a trainable model")
         enc, (lab_pooled, lab_vecs) = self._encode(ids, mask, training, rng)
-        label_vecs = ad.broadcast_to(lab_vecs, (k_batch, self.n_classes, d))
-        m_global = ad.broadcast_to(lab_pooled, (k_batch, d))
-
         # query vectors: token positions only (drop CLS, mask out SEP and PAD)
-        text_tokens = ad.slice_axis(enc.tokens, 1, 1, ids.shape[1])
         query_mask = mask[:, 1:] & (ids[:, 1:] != SEP)
-
-        attn = self.attention_params()
-        alpha, c = hd.text_attention(text_tokens, m_global, attn, query_mask)
-        beta, s = hd.label_attention(label_vecs, enc.pooled, attn)
-        p, d_feat = hd.similarity_features(c, s)
-        p_w, d_w, gamma = hd.weighted_features(p, d_feat, self.gamma_mode)
-        z = hd.assemble_z(c, p_w, d_w, s, self.ablation)
-        z = ad.dropout(z, self.encoder_config.dropout, training, rng)
-        logits = hd.classify(z, self.params["clf.W"], self.params["clf.b"])
-        return logits, IdeaFeatures(alpha, beta, c, s, p, d_feat, gamma, z)
+        z_shape = (ids.shape[0], self.ablation.z_width(self.encoder_config.d))
+        keep = ad.dropout_mask(z_shape, enc.tokens.dtype, self.encoder_config.dropout, training, rng)
+        weights = (self.params[name] for name in ("attn.W_m", "attn.b_m", "attn.W_t", "attn.b_t", "clf.W", "clf.b"))
+        logits, feats = ad.double_attention(enc.tokens, enc.pooled, lab_pooled, lab_vecs, *weights, query_mask,
+                                            self.ablation.blocks, keep)
+        return logits, IdeaFeatures(*feats)
 
     def _encode(self, ids, mask, training: bool, rng):
         """The documents' encoding, and the label sequence's pooled vector and per-label vectors.

@@ -139,23 +139,22 @@ class RunResult:
 
 def metrics_from_counts(per_class: list[dict], n_samples: int) -> Metrics:
     """Macro metrics from per-class tp/fp/fn; empty denominators count as 0."""
-    precisions, recalls, f1s = [], [], []
     tp_total = 0
+    prec_total = rec_total = f1_total = 0.0  # a loop, not sum(): since Python 3.12 sum() compensates float rounding
     for counts in per_class:
         tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
         tp_total += tp
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
+        prec_total += prec
+        rec_total += rec
+        f1_total += 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     n_cls = len(per_class)
     return Metrics(
         accuracy=tp_total / n_samples,
-        macro_precision=sum(precisions) / n_cls,
-        macro_recall=sum(recalls) / n_cls,
-        macro_f1=sum(f1s) / n_cls,
+        macro_precision=prec_total / n_cls,
+        macro_recall=rec_total / n_cls,
+        macro_f1=f1_total / n_cls,
         per_class=per_class,
         n_samples=n_samples,
     )

@@ -1,8 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import loop_reference as ref
-from conftest import draw_normal_classifier
+from conftest import draw_normal_classifier, total
 from idea import autodiff as ad
 from idea.autodiff import DegenerateSliceError, ShapeError, Tensor, backward
 from idea.encoder import init_params
@@ -10,6 +15,7 @@ from idea.head import (
     ABLATION_MODES,
     AblationConfig,
     AttentionParams,
+    IdeaFeatures,
     assemble_z,
     classify,
     idea_loss,
@@ -379,3 +385,68 @@ def test_head_gradcheck_end_to_end(rng):
 
 def test_ablation_modes_complete():
     assert set(ABLATION_MODES) == {"full", "only_text_features", "only_fusing", "no_abs_diff", "no_ele_prod"}
+
+
+# ---------------------------------------------------------------------------
+# the fused head
+
+
+def _head_chain(tokens, pooled, label_pooled, label_vectors, W_m, b_m, W_t, b_t, clf_W, clf_b, query_mask,
+                ablation, keep):
+    """IdeaModel.forward's head as the op chain double_attention replaced."""
+    k, seq, d = tokens.shape
+    label_vecs = ad.broadcast_to(label_vectors, (k, label_vectors.shape[1], d))
+    m_global = ad.broadcast_to(label_pooled, (k, d))
+    params = AttentionParams(W_m, b_m, W_t, b_t)
+    alpha, c = text_attention(ad.slice_axis(tokens, 1, 1, seq), m_global, params, query_mask)
+    beta, s = label_attention(label_vecs, pooled, params)
+    p, d_feat = similarity_features(c, s)
+    p_w, d_w, gamma = weighted_features(p, d_feat)
+    z = ad.apply_dropout(assemble_z(c, p_w, d_w, s, ablation), keep)
+    return classify(z, clf_W, clf_b), IdeaFeatures(alpha, beta, c, s, p, d_feat, gamma, z)
+
+
+def _head_fused(*tensors_and_mask, ablation, keep):
+    logits, feats = ad.double_attention(*tensors_and_mask, ablation.blocks, keep)
+    return logits, IdeaFeatures(*feats)
+
+
+@st.composite
+def head_cases(draw):
+    """Sizes, a query mask keeping at least one token per row, an ablation mode, dropout or not, a dtype, a seed."""
+    k, n, n_labels, d = (draw(st.integers(low, high)) for low, high in [(1, 3), (1, 6), (1, 5), (2, 8)])
+    mask = draw(hnp.arrays(bool, (k, n)))
+    mask[np.arange(k), draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))] = True
+    mode, dropped = draw(st.sampled_from(ABLATION_MODES)), draw(st.booleans())
+    dtype, seed = draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**32 - 1))
+    return k, n, n_labels, d, mask, mode, dropped, dtype, seed
+
+
+@settings(max_examples=150)
+@given(case=head_cases())
+def test_double_attention_matches_the_head_chain_bitwise(case):
+    k, n, n_labels, d, mask, mode, dropped, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    ablation = AblationConfig(mode)
+    shapes = [(k, n + 1, d), (k, d), (1, d), (1, n_labels, d), (d, d), (), (d, d), (),
+              (ablation.z_width(d), n_labels), (n_labels,)]
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    keep = ad.dropout_mask((k, ablation.z_width(d)), dtype, 0.3, dropped, rng)
+    weights = Tensor(rng.normal(size=(k, n_labels)).astype(dtype))
+
+    def run(head, grad):
+        leaves = [Tensor(a.copy(), requires_grad=grad) for a in arrays]
+        logits, feats = head(*leaves, mask, ablation=ablation, keep=keep)
+        outputs = [logits] + [getattr(feats, f.name) for f in fields(IdeaFeatures)]
+        assert head is _head_chain or all(t.lineage is None for t in outputs[1:])
+        got = [(t.data.dtype, t.shape, t.data.tobytes()) for t in outputs]
+        if grad:
+            backward(total(logits, weights))
+            got += [(t.grad.dtype, t.grad.shape, t.grad.tobytes()) for t in leaves]
+        return got
+
+    want = run(_head_chain, grad=True)
+    assert run(_head_fused, grad=True) == want
+    # the call without a gradient to record gives the same forward
+    assert run(_head_fused, grad=False) == want[:9]
+

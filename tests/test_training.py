@@ -370,6 +370,14 @@ def test_metrics_recomputable_from_counts():
     assert m.macro_recall == pytest.approx(sum(recs) / 3)
 
 
+def test_macro_means_sum_left_to_right():
+    # from Python 3.12 sum() compensates rounding: it gives 0.6 here, a loop 0.6000000000000001
+    per_class = [{"tp": tp, "fp": fp, "fn": fp} for tp, fp in [(1, 9), (1, 4), (3, 7)]]
+    m = metrics_from_counts(per_class, 30)
+    assert ((0.1 + 0.2) + 0.3) != math.fsum([0.1, 0.2, 0.3])
+    assert m.macro_precision == m.macro_recall == ((0.1 + 0.2) + 0.3) / 3
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
