@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -834,7 +834,7 @@ def backward(loss: Tensor) -> None:
             continue
         grads = node.lineage.backward_fn(node.grad)
         for parent, g in zip(node.lineage.inputs, grads):
-            if g is not None and parent.requires_grad:
+            if parent.requires_grad:
                 if parent._grad is None:
                     # a copy: closures return views, read-only broadcasts and one array to two parents
                     parent._grad = np.array(g, dtype=parent.data.dtype)
@@ -848,8 +848,8 @@ class GradCheckReport:
     """Analytic-vs-central-difference comparison, one error per parameter."""
 
     max_relative_error: float
-    per_parameter_errors: dict[str, float] = field(default_factory=dict)
-    step_size: float = 1e-5
+    per_parameter_errors: dict[str, float]
+    step_size: float
 
     def format(self) -> str:
         lines = [f"step_size={self.step_size!r}"]
@@ -859,7 +859,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
+def grad_check(fn, params: dict[str, Tensor], step: float) -> GradCheckReport:
     """Compare backward() gradients of fn() against central differences.
 
     fn must be a deterministic closure over params returning a scalar
@@ -869,7 +869,7 @@ def grad_check(fn, params, step: float = 1e-5) -> GradCheckReport:
     would pass any threshold test and upset max). The finite-difference forwards run with
     each parameter's requires_grad off (restored after, also if fn raises): no tape.
     """
-    named = list(params.items()) if isinstance(params, dict) else list(params)
+    named = list(params.items())
     for _, p in named:
         p.zero_grad()
     backward(fn())

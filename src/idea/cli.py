@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import synthetic
 from .autodiff import grad_check
-from .data import Document, LabelSet, Vocab, atomic_open, load_csv, make_batches, stratified_sample
+from .data import Document, LabelSet, Vocab, atomic_open, load_documents, make_batches
 from .encoder import INIT_STD, EncoderConfig
 from .head import ABLATION_MODES
 from .model import IdeaModel
@@ -51,8 +52,6 @@ ABLATION_FLAGS = {
 }
 
 GRADCHECK_THRESHOLD = 1e-4
-
-MODEL_DIR_HELP = "directory written by train; only its model.ckpt is read (its header holds the vocabulary)"
 
 # flag dest -> TrainConfig field, where the two names differ
 _FIELD_NAMES = {"lr": "learning_rate", "labels": "label_names", "out": "out_dir"}
@@ -134,12 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", formatter_class=fmt, help="evaluate a saved model")
     p_eval.set_defaults(run=cmd_eval)
-    p_eval.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_eval.add_argument("--test-csv", required=True)
-    p_eval.add_argument("--test-limit", type=positive_int, default=None)
-    p_eval.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
-    p_eval.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
-    p_eval.add_argument("--seed", type=non_negative_int, default=0, help="seed for --test-limit subsampling")
+    _add_model_args(p_eval, "--test-limit")
 
     p_ablate = sub.add_parser(
         "ablate", formatter_class=fmt,
@@ -159,31 +154,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export-features", formatter_class=fmt,
                            help="dump per-sample fused feature vectors as TSV")
     p_exp.set_defaults(run=cmd_export_features)
-    p_exp.add_argument("--model-dir", required=True, help=MODEL_DIR_HELP)
     p_exp.add_argument("--csv", required=True, help="dataset to featurize")
     p_exp.add_argument("--out", required=True, help="output TSV path")
-    p_exp.add_argument("--limit", type=positive_int, default=None)
-    p_exp.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
-    p_exp.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
-    p_exp.add_argument("--seed", type=non_negative_int, default=0)
+    _add_model_args(p_exp, "--limit")
 
     p_syn = sub.add_parser("make-synthetic", formatter_class=fmt,
                            help="emit a synthetic keyword-bag CSV corpus")
     p_syn.set_defaults(run=cmd_make_synthetic)
+    generator = inspect.signature(synthetic.generate_rows).parameters
+
+    def knob(option, type, help="", **kwargs):
+        """A generate_rows argument, in the namespace only when given; its help shows generate_rows' default."""
+        action = p_syn.add_argument(option, type=type, default=argparse.SUPPRESS, **kwargs)
+        action.help = f"{help} (default: {generator[action.dest].default})"
+
     p_syn.add_argument("--out", required=True, help="output CSV path")
     p_syn.add_argument("--docs", type=int, default=300)
-    p_syn.add_argument("--classes", type=int, default=3)
+    knob("--classes", int, dest="n_classes", metavar="CLASSES")
     p_syn.add_argument("--seed", type=non_negative_int, default=0)
     p_syn.add_argument("--label-names", default=None, help="override the generated label names")
-    p_syn.add_argument("--keywords-per-class", type=int, default=8)
-    p_syn.add_argument("--doc-keywords", type=int, default=8)
-    p_syn.add_argument("--doc-noise", type=int, default=4)
-    p_syn.add_argument("--label-token-rate", type=float, default=0.9)
-    p_syn.add_argument("--overlap", type=int, default=0,
-                       help="shared ambiguous keywords added to every class")
-    p_syn.add_argument("--confusion", type=float, default=0.0,
-                       help="per-slot probability of a keyword from a different class")
+    knob("--keywords-per-class", int)
+    knob("--doc-keywords", int)
+    knob("--doc-noise", int)
+    knob("--label-token-rate", float)
+    knob("--overlap", int, "shared ambiguous keywords added to every class")
+    knob("--confusion", float, "per-slot probability of a keyword from a different class")
     return parser
+
+
+def _add_model_args(p: argparse.ArgumentParser, limit: str) -> None:
+    """eval's and export-features' flags for the saved model, the CSV's subsample and the batching."""
+    p.add_argument("--model-dir", required=True,
+                   help="directory written by train; only its model.ckpt is read (its header holds the vocabulary)")
+    p.add_argument(limit, type=positive_int, default=None)
+    p.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
+    p.add_argument("--seed", type=non_negative_int, default=0, help=f"seed for {limit} subsampling")
 
 
 def _load_config_file(path, flags: dict[str, argparse.Action]) -> dict:
@@ -252,18 +258,14 @@ def _load_model_and_batches(ns, csv_path, limit):
             f"{ns.command}: --max-len {ns.max_len} exceeds max_positions - 2 "
             f"= {enc.max_positions - 2} of {ckpt}"
         )
-    docs = load_csv(csv_path, model.n_classes)
-    if not docs:
-        raise ValueError(f"{ns.command}: {csv_path} holds no documents")
-    if limit is not None:
-        docs = stratified_sample(docs, limit, ns.seed)
+    docs = load_documents(csv_path, model.n_classes, limit, ns.seed, ns.command)
     return model, len(docs), make_batches(docs, model.vocab, ns.batch_size, max_len=ns.max_len)
 
 
 def cmd_eval(ns) -> int:
     model, _, batches = _load_model_and_batches(ns, ns.test_csv, ns.test_limit)
     metrics = evaluate(model, batches)
-    print("\n".join(metrics.report_lines(prefix="test_")))
+    print("\n".join(metrics.report_lines()))
     return 0
 
 
@@ -376,21 +378,10 @@ def cmd_export_features(ns) -> int:
 
 
 def cmd_make_synthetic(ns) -> int:
-    label_names = None
-    if ns.label_names:
-        label_names = [name.strip() for name in ns.label_names.split(",")]
-    rows, names = synthetic.generate_rows(
-        n_docs=ns.docs,
-        n_classes=ns.classes,
-        seed=ns.seed,
-        label_names=label_names,
-        keywords_per_class=ns.keywords_per_class,
-        doc_keywords=ns.doc_keywords,
-        doc_noise=ns.doc_noise,
-        label_token_rate=ns.label_token_rate,
-        overlap=ns.overlap,
-        confusion=ns.confusion,
-    )
+    # --seed, --label-names and the knobs that were given
+    settings = {k: v for k, v in vars(ns).items() if k in inspect.signature(synthetic.generate_rows).parameters}
+    settings["label_names"] = [name.strip() for name in ns.label_names.split(",")] if ns.label_names else None
+    rows, names = synthetic.generate_rows(ns.docs, **settings)
     synthetic.write_csv(rows, ns.out)
     print(f"wrote {len(rows)} rows to {ns.out}")
     print(f"labels: {','.join(names)}")

@@ -71,9 +71,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
@@ -170,40 +167,40 @@ def build_vocab(
     return Vocab(ordered)
 
 
-def encode_document(doc: Document, vocab: Vocab, max_len: int = 128) -> list[int]:
+def encode_document(doc: Document, vocab: Vocab, max_len: int) -> list[int]:
     """[CLS] + token ids truncated to max_len + [SEP]; a text with no tokens reads as [UNK]."""
     if max_len < 1:
         raise ValueError(f"encode_document: max_len must be >= 1, got {max_len}")
     return [CLS] + (vocab.encode(tokenize(doc.text)[:max_len]) or [UNK]) + [SEP]
 
 
-def encode_label_sequence(labels: LabelSet, vocab: Vocab) -> tuple[list[int], list[tuple[int, int]]]:
-    """Joint comma-separated label sequence plus per-name [start, stop) spans.
+def label_sequence(labels: LabelSet) -> tuple[list[str], list[tuple[int, int]]]:
+    """The joint label sequence's tokens, [CLS] name , name ... [SEP], and each name's [start, stop) span.
 
     Spans cover only the tokens of each name; CLS, SEP and the comma
     separators are excluded.
     """
-    ids = [CLS]
+    tokens = [SPECIAL_TOKENS[CLS]]
     spans: list[tuple[int, int]] = []
     for i, toks in enumerate(labels.name_tokens()):
         if i > 0:
-            ids.append(vocab.encode_token(","))
-        start = len(ids)
-        ids.extend(vocab.encode(toks))
-        spans.append((start, len(ids)))
-    ids.append(SEP)
-    return ids, spans
+            tokens.append(",")
+        start = len(tokens)
+        tokens.extend(toks)
+        spans.append((start, len(tokens)))
+    tokens.append(SPECIAL_TOKENS[SEP])
+    return tokens, spans
 
 
 def check_label_sequence_length(labels: LabelSet, max_positions: int) -> None:
-    """Raise ValueError if the joint label sequence (see encode_label_sequence) exceeds max_positions."""
-    length = sum(len(tokens) + 1 for tokens in labels.name_tokens()) + 1  # each name with CLS or a comma, SEP
+    """Raise ValueError if the joint label sequence exceeds max_positions."""
+    length = len(label_sequence(labels)[0])
     if length > max_positions:
         raise ValueError(f"{len(labels)} label names make a label sequence of {length} tokens, "
                          f"more than max_positions {max_positions}")
 
 
-def load_csv(path, num_classes: int | None = None) -> list[Document]:
+def load_csv(path, num_classes: int) -> list[Document]:
     """Read rows of the form: 1-based class index, then one or more text fields.
 
     Text fields are joined with a single space; class ids are shifted to
@@ -226,7 +223,7 @@ def load_csv(path, num_classes: int | None = None) -> list[Document]:
                 except ValueError:
                     raise CsvFormatError(f"{path}:{line}: class index {row[0]!r} is not an integer")
                 label = cls_idx - 1
-                if label < 0 or (num_classes is not None and label >= num_classes):
+                if not 0 <= label < num_classes:
                     raise CsvFormatError(f"{path}:{line}: class index {cls_idx} out of range")
                 docs.append(Document(text=" ".join(row[1:]), label=label))
         except csv.Error as exc:  # a field over csv's size limit
@@ -273,11 +270,17 @@ def stratified_split(docs: list[Document], holdout_size: int, seed: int) -> tupl
     return train, holdout
 
 
-def stratified_sample(docs: list[Document], size: int, seed: int) -> list[Document]:
-    """Class-stratified subsample of the corpus (order preserved)."""
-    if size >= len(docs):
-        return list(docs)
-    return stratified_split(docs, size, seed)[1]
+def load_documents(path, num_classes: int, limit: int | None, seed: int, command: str) -> list[Document]:
+    """load_csv's documents, or a class-stratified sample of limit of them, drawn with seed, in file order.
+
+    A file without documents raises a ValueError naming command and path.
+    """
+    docs = load_csv(path, num_classes)
+    if not docs:
+        raise ValueError(f"{command}: {path} holds no documents")
+    if limit is not None and limit < len(docs):  # a limit at or past the file's size keeps every document
+        docs = stratified_split(docs, limit, seed)[1]
+    return docs
 
 
 def make_batches(

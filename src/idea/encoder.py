@@ -73,7 +73,7 @@ def param_specs(config: EncoderConfig) -> list[ParamSpec]:
     return specs + [("pooler.W", (d, d), "normal"), ("pooler.b", (d,), "zeros")]
 
 
-def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+def init_params(specs: list[ParamSpec], rng: np.random.Generator, dtype) -> dict[str, Tensor]:
     """Trainable tensors for the specs, drawn from rng in spec order."""
     params: dict[str, Tensor] = {}
     for name, shape, init in specs:

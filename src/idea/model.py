@@ -13,8 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import (SEP, UNK, Batch, LabelSet, Vocab, atomic_open, check_label_sequence_length,
-                   encode_label_sequence, tokenize)
+from .data import SEP, Batch, LabelSet, Vocab, atomic_open, check_label_sequence_length, label_sequence, tokenize
 from .encoder import (
     EncoderConfig,
     ParamSpec,
@@ -64,11 +63,11 @@ class IdeaModel:
         if len(vocab) != encoder_config.vocab_size:
             raise ValueError(f"vocab has {len(vocab)} tokens but vocab_size is {encoder_config.vocab_size}")
         self.vocab = vocab
-        label_ids, self.label_spans = encode_label_sequence(labels, vocab)
-        if UNK in label_ids:  # a label name's token, or the "," between names, is not in the vocab
-            missing = {",", *(t for toks in labels.name_tokens() for t in toks)} - vocab.token_to_id.keys()
+        tokens, self.label_spans = label_sequence(labels)
+        missing = set(tokens) - vocab.token_to_id.keys()  # a label name's token, or the "," between names
+        if missing:
             raise ValueError(f"vocab lacks the label tokens {sorted(missing)}")
-        self.label_ids = np.asarray(label_ids, dtype=np.int64)
+        self.label_ids = np.asarray(vocab.encode(tokens), dtype=np.int64)
         self.ablation = ablation
         self.gamma_mode = gamma_mode
         self.dtype = np.dtype(dtype)

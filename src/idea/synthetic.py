@@ -64,16 +64,23 @@ def generate_rows(
     names = list(label_names) if label_names is not None else default_label_names(n_classes)
     if len(names) != n_classes:
         raise ValueError(f"generate_rows: {len(names)} label names for {n_classes} classes")
+    for name, rate in (("label_token_rate", label_token_rate), ("confusion", confusion)):
+        if not 0.0 <= rate <= 1.0:  # NaN fails too
+            raise ValueError(f"generate_rows: {name} must be in [0, 1], got {rate}")
+    for name, count in (("keywords_per_class", keywords_per_class), ("doc_keywords", doc_keywords),
+                        ("doc_noise", doc_noise), ("overlap", overlap)):
+        if count < 0:
+            raise ValueError(f"generate_rows: {name} must be >= 0, got {count}")
 
     rng = np.random.default_rng(seed)
-    shared_pool = [f"common{j}" for j in range(max(overlap, 0) * 2 + 1)]
+    shared_pool = [f"common{j}" for j in range(overlap * 2 + 1)]
     keyword_sets: list[list[str]] = []
     for name in names:
         base = "".join(tokenize(name)) or "label"
         kws = list(tokenize(name))
         kws += [f"{base}{j}" for j in range(keywords_per_class)]
         if overlap > 0:
-            picks = rng.choice(len(shared_pool), size=min(overlap, len(shared_pool)), replace=False)
+            picks = rng.choice(len(shared_pool), size=overlap, replace=False)
             kws += [shared_pool[j] for j in picks]
         keyword_sets.append(kws)
 
@@ -89,7 +96,7 @@ def generate_rows(
         if rng.random() < label_token_rate:
             words.extend(tokenize(names[cls]))
         for _ in range(doc_keywords):
-            if n_classes > 1 and rng.random() < confusion:
+            if rng.random() < confusion:
                 other = int(rng.integers(n_classes - 1))
                 other = other if other < cls else other + 1
                 pool = keyword_sets[other]

@@ -19,9 +19,8 @@ from .data import (
     atomic_open,
     build_vocab,
     check_label_sequence_length,
-    load_csv,
+    load_documents,
     make_batches,
-    stratified_sample,
     stratified_split,
 )
 from .encoder import EncoderConfig
@@ -105,18 +104,18 @@ class Metrics:
     per_class: list[dict]  # tp/fp/fn per class, dataset order
     n_samples: int
 
-    def report_lines(self, prefix: str = "") -> list[str]:
+    def report_lines(self) -> list[str]:
         lines = [
-            f"{prefix}accuracy={self.accuracy!r}",
-            f"{prefix}macro_precision={self.macro_precision!r}",
-            f"{prefix}macro_recall={self.macro_recall!r}",
-            f"{prefix}macro_f1={self.macro_f1!r}",
-            f"{prefix}n_samples={self.n_samples}",
+            f"test_accuracy={self.accuracy!r}",
+            f"test_macro_precision={self.macro_precision!r}",
+            f"test_macro_recall={self.macro_recall!r}",
+            f"test_macro_f1={self.macro_f1!r}",
+            f"test_n_samples={self.n_samples}",
         ]
         for i, counts in enumerate(self.per_class):
-            lines.append(f"{prefix}class_{i}_tp={counts['tp']}")
-            lines.append(f"{prefix}class_{i}_fp={counts['fp']}")
-            lines.append(f"{prefix}class_{i}_fn={counts['fn']}")
+            lines.append(f"test_class_{i}_tp={counts['tp']}")
+            lines.append(f"test_class_{i}_fp={counts['fp']}")
+            lines.append(f"test_class_{i}_fn={counts['fn']}")
         return lines
 
 
@@ -133,7 +132,7 @@ class RunResult:
         lines = [f"seed={self.seed}", f"epochs_run={len(self.val_metrics)}", f"selected_epoch={self.selected_epoch}"]
         for i, m in enumerate(self.val_metrics, start=1):
             lines.append(f"val_accuracy_epoch_{i}={m.accuracy!r}")
-        lines.extend(self.test_metrics.report_lines(prefix="test_"))
+        lines.extend(self.test_metrics.report_lines())
         return "\n".join(lines) + "\n"
 
 
@@ -296,15 +295,8 @@ def train(config: TrainConfig, log=print) -> RunResult:
             raise FileNotFoundError(f"train: dataset file not found: {path}")
     if config.out_dir:  # before any CSV is read, so an --out that is a file fails at once
         os.makedirs(config.out_dir, exist_ok=True)
-    train_docs = load_csv(config.train_csv, n_cls)
-    test_docs = load_csv(config.test_csv, n_cls)
-    for path, docs in ((config.train_csv, train_docs), (config.test_csv, test_docs)):
-        if not docs:
-            raise ValueError(f"train: {path} holds no documents")
-    if config.train_limit is not None:
-        train_docs = stratified_sample(train_docs, config.train_limit, _derive_seed(config.seed, 1))
-    if config.test_limit is not None:
-        test_docs = stratified_sample(test_docs, config.test_limit, _derive_seed(config.seed, 2))
+    train_docs = load_documents(config.train_csv, n_cls, config.train_limit, _derive_seed(config.seed, 1), "train")
+    test_docs = load_documents(config.test_csv, n_cls, config.test_limit, _derive_seed(config.seed, 2), "train")
 
     # validation carved from the training set, same size as the test set
     val_size = len(test_docs)

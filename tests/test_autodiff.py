@@ -582,11 +582,11 @@ def test_grad_check_error_is_0_only_for_two_zero_gradients_and_inf_when_not_fini
     def fn():
         return total(ad.mul(x, weight))
 
-    report = grad_check(fn, {"x": x, "unused": unused})
+    report = grad_check(fn, {"x": x, "unused": unused}, step=1e-5)
     assert report.per_parameter_errors["unused"] == 0.0 and report.max_relative_error < 1e-8
     weight.data[0] = math.nan  # every gradient is now NaN or compared with one
     for params in ({"x": x, "unused": unused}, {"unused": unused, "x": x}):  # max() over a NaN is order-dependent
-        report = grad_check(fn, params)
+        report = grad_check(fn, params, step=1e-5)
         assert report.per_parameter_errors == {"x": math.inf, "unused": math.inf}
         assert report.max_relative_error == math.inf
         assert "x: rel_err=inf" in report.format()
@@ -948,7 +948,7 @@ def test_self_attention_keeps_dropout_checks(rate, rng):
     with pytest.raises(ValueError, match="dropout"):
         ad.dropout_mask((1, 1, 2, 2), np.float64, rate, True, rng)
     cfg = encoder.EncoderConfig(vocab_size=4, d=2, n_layers=1, n_heads=1, dropout=0.1)
-    params = encoder.init_params(encoder.param_specs(cfg), np.random.default_rng(0))
+    params = encoder.init_params(encoder.param_specs(cfg), np.random.default_rng(0), np.float32)
     with pytest.raises(ValueError, match="dropout"):
         encoder.encode(np.ones((1, 2), int), np.ones((1, 2), bool), cfg, params, True, None)
 
@@ -1311,11 +1311,38 @@ def _unused_tape_ops(autodiff_source: str, other_sources: list[str]) -> set[str]
     return ops - _autodiff_names(other_sources)
 
 
-def _unused_public_functions(autodiff_source: str, other_sources: list[str]) -> set[str]:
-    """Module-level functions of autodiff_source without a leading underscore that no other source names."""
-    public = {fn.name for fn in ast.parse(autodiff_source).body
-              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
-    return public - _autodiff_names(other_sources)
+def _unused_public_names(package: dict[str, str], users: list[str]) -> set[str]:
+    """The public top-level functions and classes, and public classes' public methods, of the package's
+    modules (file name -> source) that no source names outside the definition itself, as "file:name".
+
+    A name counts as named by a Name, an attribute or an import of that name anywhere in the
+    modules or the users, matched by name alone; __init__.py's re-exports count for nothing.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    named = sum((_names(tree) for module, tree in trees.items() if module != "__init__.py"), Counter())
+    for source in users:
+        named += _names(ast.parse(source))
+    unused = set()
+    for module, tree in trees.items():
+        defs = [(node, node.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+        defs += [(method, f"{cls.name}.{method.name}") for cls, _ in list(defs) if isinstance(cls, ast.ClassDef)
+                 for method in cls.body if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")]
+        unused.update(f"{module}:{qualname}" for node, qualname in defs if named[node.name] == _names(node)[node.name])
+    return unused
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often tree names each identifier: as a Name, as an attribute, or in a from-import."""
+    counts: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            counts.update(alias.name for alias in node.names)
+    return counts
 
 
 def _autodiff_names(sources: list[str]) -> set[str]:
@@ -1341,10 +1368,17 @@ def test_unused_tape_ops_are_found():
 
 
 def test_unused_public_functions_are_found():
-    core = "def _private(x): pass\ndef op(x): return x\ndef helper(x): return op(x)\n"
-    assert _unused_public_functions(core, ["from idea.autodiff import op, helper"]) == set()
-    # a call inside autodiff itself is no use by the program
-    assert _unused_public_functions(core, ["from idea import autodiff as ad\nad.op(1)"]) == {"helper"}
+    package = {
+        "core.py": "def _private(x): pass\ndef op(x): return x\ndef helper(x): return op(x)\n"
+                   "class Box:\n    def get(self): return self.get()\n    def put(self): pass\n"
+                   "    def _hidden(self): pass\nclass _Inner:\n    def hook(self): pass\n",
+        "__init__.py": "from .core import Box, helper\n",
+    }
+    assert _unused_public_names(package, ["from idea.core import Box, helper\nBox().get().put()"]) == set()
+    # a use inside the definition itself, or a re-export, is no use by the program
+    assert _unused_public_names(package, ["from idea import core\ncore.Box().put()"]) == {
+        "core.py:helper", "core.py:Box.get"}
+    assert _unused_public_names({"m.py": "class Lone:\n    pass\n"}, ["lone = 1"]) == {"m.py:Lone"}
 
 
 def _sources(directory: str) -> dict[str, str]:
@@ -1364,12 +1398,10 @@ def test_every_tape_op_has_a_user_in_the_package():
     assert _unused_tape_ops(sources.pop("autodiff.py"), list(sources.values())) == {"broadcast_to"}
 
 
-def test_every_public_autodiff_function_has_a_user_in_the_package_or_perfbench():
-    # the autodiff core keeps only what the program, or the benchmark that times it, calls
-    sources = _sources(os.path.dirname(idea.__file__))
-    core = sources.pop("autodiff.py")
+def test_every_public_name_has_a_user_in_the_package_or_perfbench():
+    # the package keeps only what the program, or the benchmark that times it, uses
     perfbench = _sources(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
-    assert _unused_public_functions(core, [*sources.values(), *perfbench.values()]) == set()
+    assert _unused_public_names(_sources(os.path.dirname(idea.__file__)), list(perfbench.values())) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import ast
 import copy
 import csv
 import errno
+import functools
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idea
+from idea import synthetic
 from idea.cli import _FIELD_NAMES, DATASETS, build_parser, entrypoint, gradcheck_setup, main
 from idea.data import Vocab, load_csv
 from idea.encoder import EncoderConfig
@@ -81,6 +84,40 @@ def test_make_synthetic_custom_labels(tmp_path, capsys):
     assert "labels: world,sports,business,sci tech" in stdout
 
 
+# make-synthetic's generator knobs and the generate_rows parameters they set
+SYNTHETIC_KNOBS = {"--classes": "n_classes", "--keywords-per-class": "keywords_per_class",
+                   "--doc-keywords": "doc_keywords", "--doc-noise": "doc_noise",
+                   "--label-token-rate": "label_token_rate", "--overlap": "overlap", "--confusion": "confusion"}
+
+
+def test_make_synthetic_help_shows_each_knobs_generate_rows_default(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["make-synthetic", "--help"])
+    options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+    helps = {chunk.split()[0]: chunk for chunk in ("--" + part for part in options.split(" --")[1:])}
+    defaults = inspect.signature(synthetic.generate_rows).parameters
+    for flag, param in SYNTHETIC_KNOBS.items():
+        metavar = flag[2:].upper().replace("-", "_")
+        assert helps[flag].startswith(f"{flag} {metavar} ") and helps[flag].endswith(
+            f"(default: {defaults[param].default})"), helps[flag]
+    assert helps["--docs"] == "--docs DOCS" and helps["--seed"] == "--seed SEED"
+
+
+def test_make_synthetic_passes_generate_rows_only_the_knobs_given(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    @functools.wraps(synthetic.generate_rows)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return spy.__wrapped__(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "generate_rows", spy)
+    code, _, err = run_cli(capsys, "make-synthetic", "--out", str(tmp_path / "c.csv"), "--doc-noise", "2",
+                           "--classes", "4", "--label-names", "")
+    assert code == 0, err
+    assert calls == [((300,), {"n_classes": 4, "seed": 0, "label_names": None, "doc_noise": 2})]
+
+
 def test_make_synthetic_names_classes_past_the_name_pool_topic_n(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "make-synthetic", "--out", str(tmp_path / "c.csv"), "--classes", "12")
     assert code == 0, err
@@ -91,7 +128,18 @@ def test_make_synthetic_names_classes_past_the_name_pool_topic_n(tmp_path, capsy
     (["--classes", "1"], "need at least 2 classes, got 1"),
     (["--docs", "2", "--classes", "3"], "2 documents for 3 classes; need one per class"),
     (["--label-names", "a,b", "--classes", "3"], "2 label names for 3 classes"),
-], ids=["one-class", "too-few-docs", "name-count"])
+    (["--label-token-rate", "2"], "label_token_rate must be in [0, 1], got 2.0"),
+    (["--label-token-rate", "nan"], "label_token_rate must be in [0, 1], got nan"),
+    (["--confusion", "1.5"], "confusion must be in [0, 1], got 1.5"),
+    (["--confusion", "nan"], "confusion must be in [0, 1], got nan"),
+    (["--confusion", "-0.1"], "confusion must be in [0, 1], got -0.1"),
+    (["--keywords-per-class", "-1"], "keywords_per_class must be >= 0, got -1"),
+    (["--doc-keywords", "-1"], "doc_keywords must be >= 0, got -1"),
+    (["--doc-noise", "-3"], "doc_noise must be >= 0, got -3"),
+    (["--overlap", "-2"], "overlap must be >= 0, got -2"),
+], ids=["one-class", "too-few-docs", "name-count", "label-token-rate-2", "label-token-rate-nan", "confusion-1.5",
+        "confusion-nan", "confusion-negative", "keywords-per-class-negative", "doc-keywords-negative",
+        "doc-noise-negative", "overlap-negative"])
 def test_make_synthetic_bad_class_setting_exits_1_writing_nothing(tmp_path, capsys, args, message):
     out = tmp_path / "c.csv"
     code, stdout, err = run_cli(capsys, "make-synthetic", "--out", str(out), *args)
@@ -1090,6 +1138,16 @@ def test_directory_input_path_exits_1(tmp_path, capsys, flag):
     assert code == 1
     assert str(tmp_path) in err
     assert "runtime failure" not in err
+
+
+@pytest.mark.parametrize("args, limit", [
+    (["eval", "--test-csv", "t.csv"], "test_limit"),
+    (["export-features", "--csv", "t.csv", "--out", "f.tsv"], "limit"),
+], ids=["eval", "export-features"])
+def test_eval_and_export_features_share_the_model_flags_and_their_defaults(args, limit):
+    ns = build_parser().parse_args([*args, "--model-dir", "run"])
+    assert (ns.model_dir, getattr(ns, limit), ns.batch_size, ns.max_len, ns.seed) == (
+        "run", None, TrainConfig.batch_size, TrainConfig.max_len, 0)
 
 
 def test_help_lists_flags_with_defaults(capsys):

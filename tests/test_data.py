@@ -17,7 +17,7 @@ from idea.data import (
     atomic_open,
     build_vocab,
     encode_document,
-    encode_label_sequence,
+    label_sequence,
     load_csv,
     make_batches,
     stratified_split,
@@ -60,8 +60,8 @@ def test_build_vocab_single_token():
 def test_build_vocab_min_freq_maps_to_unk():
     docs = [Document("common common rare", 0)]
     vocab = build_vocab(docs, min_freq=2)
-    assert vocab.encode_token("rare") == UNK
-    assert vocab.encode_token("common") not in (PAD, UNK, CLS, SEP)
+    assert vocab.encode(["rare"]) == [UNK]
+    assert vocab.encode(["common"])[0] not in (PAD, UNK, CLS, SEP)
 
 
 def test_build_vocab_label_tokens_forced():
@@ -69,7 +69,7 @@ def test_build_vocab_label_tokens_forced():
     labels = LabelSet(["weather", "sci tech"])
     vocab = build_vocab(docs, min_freq=1, labels=labels)
     for tok in ("weather", "sci", "tech", ","):
-        assert vocab.encode_token(tok) != UNK
+        assert vocab.encode([tok]) != [UNK]
 
 
 def test_build_vocab_label_tokens_survive_min_freq_and_cap():
@@ -77,9 +77,8 @@ def test_build_vocab_label_tokens_survive_min_freq_and_cap():
     labels = LabelSet(["weather"])
     vocab = build_vocab(docs, min_freq=3, max_size=5, labels=labels)
     # cap of 5 leaves space for one corpus token ("aa"); label tokens still kept
-    assert vocab.encode_token("aa") != UNK
-    assert vocab.encode_token("weather") != UNK
-    assert vocab.encode_token("bb") == UNK
+    assert UNK not in vocab.encode(["aa", "weather"])
+    assert vocab.encode(["bb"]) == [UNK]
 
 
 @pytest.mark.parametrize("max_size", [4, 0, -5])
@@ -232,7 +231,7 @@ def test_encode_document_structure():
 @pytest.mark.parametrize("text", ["", " \t "])
 def test_encode_document_without_tokens_reads_as_unk(text):
     # an empty document still has one key for attention to weigh
-    assert encode_document(Document(text, 0), Vocab.from_tokens(["w"])) == [CLS, UNK, SEP]
+    assert encode_document(Document(text, 0), Vocab.from_tokens(["w"]), max_len=128) == [CLS, UNK, SEP]
 
 
 def test_encode_document_truncation_keeps_sep():
@@ -242,22 +241,17 @@ def test_encode_document_truncation_keeps_sep():
     assert ids[-1] == SEP
 
 
-def test_encode_label_sequence_spans():
-    vocab = Vocab.from_tokens(["world", "sports", ","])
-    labels = LabelSet(["world", "sports"])
-    ids, spans = encode_label_sequence(labels, vocab)
-    w, s, comma = (vocab.encode_token(t) for t in ("world", "sports", ","))
-    assert ids == [CLS, w, comma, s, SEP]
+def test_label_sequence_spans():
+    tokens, spans = label_sequence(LabelSet(["world", "sports"]))
+    assert tokens == ["[CLS]", "world", ",", "sports", "[SEP]"]
     assert spans == [(1, 2), (3, 4)]
 
 
-def test_encode_label_sequence_multiword():
-    vocab = Vocab.from_tokens(["sci", "tech", "world", ","])
-    labels = LabelSet(["world", "sci tech"])
-    ids, spans = encode_label_sequence(labels, vocab)
+def test_label_sequence_multiword():
+    tokens, spans = label_sequence(LabelSet(["world", "sci tech"]))
     assert spans == [(1, 2), (3, 5)]
     # spans index only their own name's tokens
-    assert [vocab.id_to_token[ids[j]] for j in range(*spans[1])] == ["sci", "tech"]
+    assert tokens[slice(*spans[1])] == ["sci", "tech"]
 
 
 def test_agnews_label_set_has_four_names():
@@ -292,14 +286,14 @@ def test_load_csv_unescapes_doubled_quotes(tmp_path):
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert load_csv(path) == []
+    assert load_csv(path, num_classes=2) == []
 
 
 def test_load_csv_malformed_row_reports_line(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text('"1","ok"\n"oops","text"\n')
     with pytest.raises(CsvFormatError) as err:
-        load_csv(path)
+        load_csv(path, num_classes=2)
     assert ":2:" in str(err.value)
 
 
@@ -333,7 +327,7 @@ def test_load_csv_missing_text_field(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text('"1"\n')
     with pytest.raises(CsvFormatError):
-        load_csv(path)
+        load_csv(path, num_classes=2)
 
 
 # ---------------------------------------------------------------------------

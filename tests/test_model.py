@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import idea.model
 from conftest import draw_normal_classifier
 from idea import autodiff as ad
 from idea.autodiff import Tensor, backward
-from idea.data import Document, LabelSet, Vocab, build_vocab, make_batches
+from idea.data import (SPECIAL_TOKENS, Document, LabelSet, Vocab, build_vocab, check_label_sequence_length,
+                       label_sequence, make_batches, tokenize)
 from idea.encoder import EncoderConfig, encode, pool_label_vectors
 from idea.head import ABLATION_MODES, AblationConfig, IdeaFeatures
 from idea.model import IdeaModel
@@ -328,6 +330,45 @@ def test_over_long_label_sequence_is_rejected_at_construction():
                                          "max_positions 16$"):
         IdeaModel(EncoderConfig(vocab_size=len(vocab), max_positions=16), names, vocab)
     IdeaModel(EncoderConfig(vocab_size=len(vocab), max_positions=19), names, vocab)
+
+
+# label-name words: one token each after tokenize, punctuation among them
+NAME_WORDS = ["world", "Sports", "sci", "tech", "&", "-", "/", "art", "ünï"]
+
+
+@settings(max_examples=80)
+@given(
+    names=st.lists(st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=3).map(" ".join),
+                   min_size=1, max_size=8),
+    max_positions=st.integers(1, 40),
+    data=st.data(),
+)
+def test_label_sequence_layout_length_and_model_ids(names, max_positions, data):
+    labels = LabelSet(names)
+    tokens, spans = label_sequence(labels)
+    assert tokens[0] == "[CLS]" and tokens[-1] == "[SEP]"
+    assert [start for start, _ in spans] == [1] + [stop + 1 for _, stop in spans[:-1]]
+    assert [tokens[stop] for _, stop in spans] == [","] * (len(names) - 1) + ["[SEP]"]
+    assert [tokens[start:stop] for start, stop in spans] == [tokenize(name) for name in names]
+    assert len(tokens) == sum(len(tokenize(name)) + 1 for name in names) + 1  # the formula it replaced
+
+    too_long = len(tokens) > max_positions
+    try:
+        check_label_sequence_length(labels, max_positions)
+    except ValueError:
+        assert too_long
+    else:
+        assert not too_long
+
+    missing = data.draw(st.sets(st.sampled_from(sorted(set(tokens) - set(SPECIAL_TOKENS)))))
+    vocab = Vocab.from_tokens(["ball"] + [t for t in tokens if t not in missing])
+    config = EncoderConfig(vocab_size=len(vocab), d=4, n_layers=1, n_heads=1, max_positions=len(tokens))
+    if missing:
+        with pytest.raises(ValueError, match=f"^vocab lacks the label tokens {re.escape(str(sorted(missing)))}$"):
+            IdeaModel(config, names, vocab, params={})
+    else:
+        model = IdeaModel(config, names, vocab, params={})
+        assert model.label_ids.tolist() == vocab.encode(tokens) and model.label_spans == spans
 
 
 def test_frozen_model_rejects_a_training_forward(rng):
