@@ -345,12 +345,10 @@ def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: 
     dropout_mask) hits the attention weights, every group's K x heads x S x S
     of them in a row, and keep_o the output; None drops nothing. The
     backward pass is written out by hand; a group's weight gradients are
-    single GEMMs over its K*S rows. Without a gradient to record, the dropped
-    weights overwrite the probabilities. Each group's intermediates stay its
-    own arrays, as a pass over it alone makes them.
+    single GEMMs over its K*S rows. Each group's intermediates stay its own
+    arrays, as a pass over it alone makes them.
     """
     inputs = (x, Wq, bq, Wk, Wv, bv, Wo, bo)
-    reuse = not _needs_grad(inputs)  # no backward reads the intermediates
     xd = x.data
     d = xd.shape[1]
     alpha = 1.0 / math.sqrt(d // heads)
@@ -374,7 +372,7 @@ def self_attention(x: Tensor, key_bias, Wq: Tensor, bq: Tensor, Wk: Tensor, Wv: 
         probs /= probs.sum(axis=-1, keepdims=True)
         keep = None if keep_p is None else keep_p[start:start + probs.size].reshape(probs.shape)
         start += probs.size
-        weights = probs if keep is None else np.multiply(probs, keep, out=probs if reuse else None)
+        weights = probs if keep is None else probs * keep
         ctx = _merge_heads(weights @ v)
         np.matmul(ctx.reshape(xg.shape), Wo.data, out=out[i:j].reshape(xg.shape))
         saved.append((q, k, v, probs, keep, weights, ctx))

@@ -65,6 +65,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    # a required flag has no default to show
+    def _get_help_string(self, action):
+        return action.help if action.required else super()._get_help_string(action)
+
+
 def positive_int(text: str) -> int:
     """An int >= 1; argparse names the flag in the error."""
     value = int(text)
@@ -124,7 +130,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter  # argparse appends a default only to help text, so every flag has some
     parser = _Parser(prog="idea", description=__doc__, formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", formatter_class=fmt, help="evaluate a saved model")
     p_eval.set_defaults(run=cmd_eval)
-    p_eval.add_argument("--test-csv", required=True)
+    p_eval.add_argument("--test-csv", required=True, help="CSV to evaluate")
     _add_model_args(p_eval, "--test-limit")
 
     p_ablate = sub.add_parser(
@@ -163,20 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.set_defaults(run=cmd_make_synthetic)
     generator = inspect.signature(synthetic.generate_rows).parameters
 
-    def knob(option, type, help="", **kwargs):
+    def knob(option, type, help, **kwargs):
         """A generate_rows argument, in the namespace only when given; its help shows generate_rows' default."""
         action = p_syn.add_argument(option, type=type, default=argparse.SUPPRESS, **kwargs)
         action.help = f"{help} (default: {generator[action.dest].default})"
 
     p_syn.add_argument("--out", required=True, help="output CSV path")
-    p_syn.add_argument("--docs", type=int, default=300)
-    knob("--classes", int, dest="n_classes", metavar="CLASSES")
-    p_syn.add_argument("--seed", type=non_negative_int, default=0)
+    p_syn.add_argument("--docs", type=int, default=300, help="documents to generate")
+    knob("--classes", int, "number of classes", dest="n_classes", metavar="CLASSES")
+    p_syn.add_argument("--seed", type=non_negative_int, default=0, help="random seed")
     p_syn.add_argument("--label-names", default=None, help="override the generated label names")
-    knob("--keywords-per-class", int)
-    knob("--doc-keywords", int)
-    knob("--doc-noise", int)
-    knob("--label-token-rate", float)
+    knob("--keywords-per-class", int, "keywords made for each class besides its label-name tokens")
+    knob("--doc-keywords", int, "class keywords drawn per document")
+    knob("--doc-noise", int, "noise words per document")
+    knob("--label-token-rate", float, "probability that a document holds its label name's tokens")
     knob("--overlap", int, "shared ambiguous keywords added to every class")
     knob("--confusion", float, "per-slot probability of a keyword from a different class")
     return parser
@@ -186,9 +192,10 @@ def _add_model_args(p: argparse.ArgumentParser, limit: str) -> None:
     """eval's and export-features' flags for the saved model, the CSV's subsample and the batching."""
     p.add_argument("--model-dir", required=True,
                    help="directory written by train; only its model.ckpt is read (its header holds the vocabulary)")
-    p.add_argument(limit, type=positive_int, default=None)
-    p.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size)
-    p.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len)
+    p.add_argument(limit, type=positive_int, default=None, help="stratified subsample size for the CSV")
+    p.add_argument("--batch-size", type=positive_int, default=TrainConfig.batch_size, help="documents per batch")
+    p.add_argument("--max-len", type=positive_int, default=TrainConfig.max_len,
+                   help="document truncation length in tokens")
     p.add_argument("--seed", type=non_negative_int, default=0, help=f"seed for {limit} subsampling")
 
 

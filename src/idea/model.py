@@ -1,6 +1,7 @@
 """Full classifier: siamese encoder + double-attention head + checkpoint I/O."""
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -37,7 +38,7 @@ class IdeaModel:
     documents' encoder pass, and broadcasts it across the batch. A frozen model (from load or frozen())
     only infers: its parameters are views of one read-only array and need no
     gradient, so a forward records no tape, and it keeps its label sequence's
-    encoding while every parameter is the read-only array it was encoded from.
+    encoding while every parameter is still the read-only view it was frozen with.
     """
 
     def __init__(
@@ -76,8 +77,8 @@ class IdeaModel:
             params = init_params(self.param_specs(), rng or np.random.default_rng(0), dtype)
         self.params = params
         self.is_frozen = False
-        # a frozen model's label encoding, with the parameter arrays it was computed from
-        self._labels: tuple[tuple[np.ndarray, ...], tuple[Tensor, Tensor]] | None = None
+        self._views: tuple[np.ndarray, ...] = ()  # a frozen model's read-only parameter views, from _freeze
+        self._labels: tuple[Tensor, Tensor] | None = None  # its label encoding, valid while params are _views
 
     def param_specs(self) -> list[ParamSpec]:
         """Every parameter's (name, shape, initializer), in checkpoint order."""
@@ -123,46 +124,37 @@ class IdeaModel:
     def _encode(self, ids, mask, training: bool, rng):
         """The documents' encoding, and the label sequence's pooled vector and per-label vectors.
 
-        Both are encoded in one pass, unless the label encoding is kept;
-        a frozen model keeps it.
+        Both are encoded in one pass, unless the label encoding is kept: a
+        frozen model keeps it while its parameters are the read-only views
+        _freeze made.
         """
-        labels = self._kept_labels()
-        if labels is not None:
-            return encode(ids, mask, self.encoder_config, self.params, training, rng), labels
-        arrays = tuple(p.data for p in self.params.values())
+        kept = self.is_frozen and all(p.data is a and not a.flags.writeable
+                                      for p, a in zip(self.params.values(), self._views))
+        if kept and self._labels is not None:
+            return encode(ids, mask, self.encoder_config, self.params, training, rng), self._labels
         enc, lab = encode_groups([(ids, mask), label_group(self.label_ids)], self.encoder_config, self.params,
                                  training, rng)
         labels = lab.pooled, pool_label_vectors(lab, self.label_spans)
-        if self.is_frozen and not any(a.flags.writeable for a in arrays):
-            self._labels = arrays, labels
+        if kept:
+            self._labels = labels
         return enc, labels
 
-    def _kept_labels(self) -> tuple[Tensor, Tensor] | None:
-        """The kept label encoding, unless a parameter array was rebound or made writable since."""
-        if self._labels is not None:
-            arrays, labels = self._labels
-            if all(p.data is a and not a.flags.writeable for p, a in zip(self.params.values(), arrays)):
-                return labels
-        return None
-
     def frozen(self) -> "IdeaModel":
-        """An inference copy whose parameters are views of one read-only array; self if already frozen."""
+        """A shallow inference copy whose parameters are views of one read-only array; self if already frozen."""
         if self.is_frozen:
             return self
-        model = type(self)(
-            self.encoder_config, self.label_names, self.vocab, ablation=self.ablation,
-            gamma_mode=self.gamma_mode, dtype=self.dtype, params={},
-        )
-        return model._freeze(np.concatenate([self.params[name].data.ravel() for name, _, _ in self.param_specs()]))
+        flat = np.concatenate([self.params[name].data.ravel() for name, _, _ in self.param_specs()])
+        return copy.copy(self)._freeze(flat)
 
     def _freeze(self, flat: np.ndarray) -> "IdeaModel":
         """Make flat, every parameter in param_specs order, this model's read-only parameters; mark it frozen."""
-        flat.setflags(write=False)  # flat owns its memory, so no view of it can be made writable again
+        flat.setflags(write=False)  # flat owns its memory: while it is read-only, no view can be made writable
         self.params, start = {}, 0
         for name, shape, _ in self.param_specs():
             end = start + math.prod(shape)
             self.params[name] = Tensor(flat[start:end].reshape(shape))
             start = end
+        self._views = tuple(p.data for p in self.params.values())
         self.is_frozen = True
         return self
 
@@ -180,16 +172,15 @@ class IdeaModel:
 
     def save(self, path) -> None:
         """Named parameters as raw little-endian float32, after a JSON header with their CRC-32."""
-        body = np.concatenate([p.data.ravel() for p in self.params.values()], dtype="<f4", casting="unsafe")
+        params = [(name, self.params[name].data) for name, _, _ in self.param_specs()]  # the order load reads
+        body = np.concatenate([data.ravel() for _, data in params], dtype="<f4", casting="unsafe")
         header = {
             "encoder": asdict(self.encoder_config),
             "ablation": self.ablation.mode,
             "crc32": zlib.crc32(body),
             "label_names": self.label_names,
             "vocab": self.vocab.id_to_token,
-            "params": [
-                {"name": name, "shape": list(p.data.shape)} for name, p in self.params.items()
-            ],
+            "params": [{"name": name, "shape": list(data.shape)} for name, data in params],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with atomic_open(path, "wb") as fh:

@@ -2,6 +2,7 @@
 import math
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,19 +10,12 @@ import pytest
 import loop_reference as ref
 from conftest import draw_normal_classifier
 from idea import synthetic
+from idea import autodiff as ad
 from idea.autodiff import Tensor, grad_check
 from idea.cli import gradcheck_setup, main
 from idea.data import LabelSet, build_vocab, load_csv, make_batches
 from idea.encoder import EncoderConfig
-from idea.head import (
-    ABLATION_MODES,
-    AblationConfig,
-    AttentionParams,
-    label_attention,
-    similarity_features,
-    text_attention,
-    weighted_features,
-)
+from idea.head import ABLATION_MODES, AblationConfig, IdeaFeatures
 from idea.model import IdeaModel
 from idea.training import TrainConfig, train, welch_t_test
 
@@ -47,6 +41,34 @@ def test_criterion_1_gradient_integrity():
             f"max rel err per seed {[f'{v:.2e}' for v in worst.values()]}, {elapsed:.1f}s")
 
 
+def run_head(tokens, m_global, labels, t_global, params, mask, mode="full"):
+    """The program's head, ad.double_attention, run on each drawn instance k alone.
+
+    The op shares one label sequence across its batch, so each instance is a
+    batch of one: a zero CLS row before tokens[k] (the op drops it), query_mask
+    mask[k], m_global[k] as the label sequence's pooled vector, labels[k] as
+    its label vectors and t_global[k] as the document's pooled vector. Returns
+    IdeaFeatures' arrays and z's blocks by name, each stacked over the instances.
+    """
+    blocks = AblationConfig(mode).blocks
+    d = tokens.shape[-1]
+    clf = Tensor(np.zeros((len(blocks) * d, 1))), Tensor(np.zeros(1))  # z's width as the blocks need it
+    outs = []
+    for k in range(len(tokens)):
+        text = np.concatenate([np.zeros((1, d)), tokens[k]])[None]
+        _, feats = ad.double_attention(Tensor(text), Tensor(t_global[k:k + 1]), Tensor(m_global[k:k + 1]),
+                                       Tensor(labels[k:k + 1]), *params, *clf, mask[k:k + 1], blocks, None)
+        outs.append(feats)
+    named = {f.name: np.concatenate([feats[i].data for feats in outs]) for i, f in enumerate(fields(IdeaFeatures))}
+    named.update(zip(blocks, np.split(named["z"], len(blocks), axis=1)))
+    return named
+
+
+def draw_attention_params(rng, d):
+    """W_m, b_m, W_t, b_t, drawn in that order."""
+    return tuple(Tensor(rng.normal(size=shape)) for shape in ((d, d), (), (d, d), ()))
+
+
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
@@ -56,34 +78,26 @@ def test_criterion_2_oracle_equivalence():
         n = int(rng.integers(1, 9))
         n_lab = int(rng.integers(1, 6))
         d = int(rng.integers(2, 9))
-        tokens = Tensor(rng.normal(size=(k, n, d)))
-        m_global = Tensor(rng.normal(size=(k, d)))
-        labels = Tensor(rng.normal(size=(k, n_lab, d)))
-        t_global = Tensor(rng.normal(size=(k, d)))
-        params = AttentionParams(
-            W_m=Tensor(rng.normal(size=(d, d))), b_m=Tensor(rng.normal(size=())),
-            W_t=Tensor(rng.normal(size=(d, d))), b_t=Tensor(rng.normal(size=())),
-        )
+        tokens = rng.normal(size=(k, n, d))
+        m_global = rng.normal(size=(k, d))
+        labels = rng.normal(size=(k, n_lab, d))
+        t_global = rng.normal(size=(k, d))
+        params = draw_attention_params(rng, d)
+        W_m, b_m, W_t, b_t = (p.data for p in params)
         mask = rng.random((k, n)) > 0.3
         mask[:, 0] = True
 
-        alpha, c = text_attention(tokens, m_global, params, mask)
-        a_ref, c_ref = ref.text_attention_ref(
-            tokens.data.tolist(), m_global.data.tolist(), params.W_m.data.tolist(),
-            float(params.b_m.data), mask.tolist())
-        beta, s = label_attention(labels, t_global, params)
-        b_ref, s_ref = ref.label_attention_ref(
-            labels.data.tolist(), t_global.data.tolist(), params.W_t.data.tolist(),
-            float(params.b_t.data))
-        p, d_feat = similarity_features(c, s)
-        p_ref, d_ref = ref.similarity_features_ref(c.data.tolist(), s.data.tolist())
-        p_w, d_w, gamma = weighted_features(p, d_feat)
-        pw_ref, dw_ref, g_ref = ref.weighted_features_ref(p.data.tolist(), d_feat.data.tolist())
+        head = run_head(tokens, m_global, labels, t_global, params, mask)
+        a_ref, c_ref = ref.text_attention_ref(tokens.tolist(), m_global.tolist(), W_m.tolist(), float(b_m),
+                                              mask.tolist())
+        b_ref, s_ref = ref.label_attention_ref(labels.tolist(), t_global.tolist(), W_t.tolist(), float(b_t))
+        p_ref, d_ref = ref.similarity_features_ref(head["c"].tolist(), head["s"].tolist())
+        pw_ref, dw_ref, g_ref = ref.weighted_features_ref(head["p"].tolist(), head["d_feat"].tolist())
 
-        for got, want in ((alpha, a_ref), (c, c_ref), (beta, b_ref), (s, s_ref),
-                          (p, p_ref), (d_feat, d_ref), (p_w, pw_ref), (d_w, dw_ref),
-                          (gamma, g_ref)):
-            max_err = max(max_err, float(np.max(np.abs(got.data - np.asarray(want)))))
+        for name, want in (("alpha", a_ref), ("c", c_ref), ("beta", b_ref), ("s", s_ref),
+                           ("p", p_ref), ("d_feat", d_ref), ("p_weighted", pw_ref), ("d_weighted", dw_ref),
+                           ("gamma", g_ref)):
+            max_err = max(max_err, float(np.max(np.abs(head[name] - np.asarray(want)))))
     elapsed = time.perf_counter() - t0
     ok = max_err < 1e-10 and elapsed < 60
     verdict(2, "oracle equivalence", ok, f"max abs deviation {max_err:.2e} on 100 instances, {elapsed:.1f}s")
@@ -95,29 +109,24 @@ def test_criterion_3_attention_laws():
     detail = ""
     for trial in range(1000):
         k, n, n_lab, d = 3, 6, 4, 5
-        tokens = Tensor(rng.normal(size=(k, n, d)))
-        m_global = Tensor(rng.normal(size=(k, d)))
-        labels = Tensor(rng.normal(size=(k, n_lab, d)))
-        t_global = Tensor(rng.normal(size=(k, d)))
-        params = AttentionParams(
-            W_m=Tensor(rng.normal(size=(d, d))), b_m=Tensor(rng.normal(size=())),
-            W_t=Tensor(rng.normal(size=(d, d))), b_t=Tensor(rng.normal(size=())),
-        )
+        tokens = rng.normal(size=(k, n, d))
+        m_global = rng.normal(size=(k, d))
+        labels = rng.normal(size=(k, n_lab, d))
+        t_global = rng.normal(size=(k, d))
+        params = draw_attention_params(rng, d)
         mask = rng.random((k, n)) > 0.4
         mask[:, 0] = True
-        alpha, c = text_attention(tokens, m_global, params, mask)
-        beta, s = label_attention(labels, t_global, params)
-        p, d_feat = similarity_features(c, s)
-        _, _, gamma = weighted_features(p, d_feat)
-        eta = 1.0 - gamma.data
+        head = run_head(tokens, m_global, labels, t_global, params, mask)
+        alpha, beta, gamma = head["alpha"], head["beta"], head["gamma"]
+        eta = 1.0 - gamma
 
         rows_ok = (
-            np.all(alpha.data >= 0) and np.all(alpha.data <= 1)
-            and np.all(np.abs(alpha.data.sum(axis=1) - 1) <= 1e-6)
-            and np.all(beta.data >= 0) and np.all(beta.data <= 1)
-            and np.all(np.abs(beta.data.sum(axis=1) - 1) <= 1e-6)
-            and np.all(alpha.data[~mask] == 0.0)
-            and np.all(gamma.data + eta == 1.0)
+            np.all(alpha >= 0) and np.all(alpha <= 1)
+            and np.all(np.abs(alpha.sum(axis=1) - 1) <= 1e-6)
+            and np.all(beta >= 0) and np.all(beta <= 1)
+            and np.all(np.abs(beta.sum(axis=1) - 1) <= 1e-6)
+            and np.all(alpha[~mask] == 0.0)
+            and np.all(gamma + eta == 1.0)
         )
         if not rows_ok:
             ok = False
@@ -131,11 +140,12 @@ def test_criterion_4_shape_contract():
     rng = np.random.default_rng(0)
     ok = True
     for d in (8, 64):
-        blocks = [Tensor(rng.normal(size=(2, d))) for _ in range(4)]
+        draws = (rng.normal(size=size) for size in ((2, 5, d), (2, d), (2, 3, d), (2, d)))
+        tokens, m_global, labels, t_global = draws
+        params = draw_attention_params(rng, d)
+        mask = np.ones((2, 5), dtype=bool)
         for mode, factor in widths.items():
-            from idea.head import assemble_z
-
-            z = assemble_z(*blocks, AblationConfig(mode))
+            z = run_head(tokens, m_global, labels, t_global, params, mask, mode)["z"]
             if z.shape != (2, factor * d) or AblationConfig(mode).z_width(d) != factor * d:
                 ok = False
     verdict(4, "shape contract", ok, "z widths 4d/d/2d/3d/3d for d in {8, 64}")

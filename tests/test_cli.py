@@ -1,3 +1,4 @@
+import argparse
 import ast
 import copy
 import csv
@@ -100,7 +101,8 @@ def test_make_synthetic_help_shows_each_knobs_generate_rows_default(capsys):
         metavar = flag[2:].upper().replace("-", "_")
         assert helps[flag].startswith(f"{flag} {metavar} ") and helps[flag].endswith(
             f"(default: {defaults[param].default})"), helps[flag]
-    assert helps["--docs"] == "--docs DOCS" and helps["--seed"] == "--seed SEED"
+    assert helps["--docs"] == "--docs DOCS documents to generate (default: 300)"
+    assert helps["--seed"] == "--seed SEED random seed (default: 0)"
 
 
 def test_make_synthetic_passes_generate_rows_only_the_knobs_given(tmp_path, capsys, monkeypatch):
@@ -1164,6 +1166,46 @@ def test_help_lists_flags_with_defaults(capsys):
     assert "32" in stdout  # batch size default
     assert "0.01" in stdout  # lambda default
     assert "0.1" in stdout  # dropout default
+
+
+def _help_entries(parser) -> dict[str, str]:
+    """Each flag's --help entry, whitespace collapsed, keyed by its option string."""
+    entries = []
+    for line in parser.format_help().split("options:\n")[1].splitlines():
+        if line.startswith("  -"):  # an entry's first line; its help's later lines are indented deeper
+            entries.append(line)
+        else:
+            entries[-1] += line
+    return {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_help_shows_each_optional_flags_applied_default_and_none_for_required_flags(command):
+    sub = _subcommands()[command]
+    flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    required = [a for a in flags if a.required]
+    ns = sub.parse_args([arg for a in required for arg in (a.option_strings[0], "x")])
+    config = TrainConfig()
+    generator = inspect.signature(synthetic.generate_rows).parameters
+    entries = _help_entries(sub)
+    for action in flags:
+        entry = entries[action.option_strings[0]]
+        if action.required:
+            assert "default" not in entry, entry
+            continue
+        if hasattr(ns, action.dest):
+            want = getattr(ns, action.dest)
+        elif command == "make-synthetic":  # a SUPPRESS knob: generate_rows applies its own default
+            want = generator[action.dest].default
+        else:  # a SUPPRESS train flag: TrainConfig's field, where an empty one is unset
+            want = getattr(config, _FIELD_NAMES.get(action.dest, action.dest), None)
+            want = None if want in ("", []) else want
+        assert entry.endswith(f"(default: {want})"), entry
 
 
 def test_train_config_fields_are_the_train_flags():

@@ -225,13 +225,9 @@ def test_frozen_forward_is_bit_identical(rng, dtype):
         assert p.requires_grad and p.data.flags.writeable and p.data is not frozen.params[name].data
 
 
-def test_loaded_model_records_no_tape_and_encodes_labels_once(tmp_path, rng, monkeypatch):
-    model, vocab = build_model(dtype=np.float32, classifier_init="normal")
-    model.save(tmp_path / "model.ckpt")
-    loaded = IdeaModel.load(tmp_path / "model.ckpt")
-    assert loaded.is_frozen
-    assert all(not p.requires_grad and not p.data.flags.writeable for p in loaded.params.values())
-    calls = []  # one entry per encoder pass that carries the label sequence
+def count_label_encodes(monkeypatch, model) -> list:
+    """A list that gains one entry per encoder pass that carries model's label sequence."""
+    calls = []
     encode_groups = idea.model.encode_groups
 
     def counted(groups, *args):
@@ -239,6 +235,16 @@ def test_loaded_model_records_no_tape_and_encodes_labels_once(tmp_path, rng, mon
         return encode_groups(groups, *args)
 
     monkeypatch.setattr(idea.model, "encode_groups", counted)
+    return calls
+
+
+def test_loaded_model_records_no_tape_and_encodes_labels_once(tmp_path, rng, monkeypatch):
+    model, vocab = build_model(dtype=np.float32, classifier_init="normal")
+    model.save(tmp_path / "model.ckpt")
+    loaded = IdeaModel.load(tmp_path / "model.ckpt")
+    assert loaded.is_frozen
+    assert all(not p.requires_grad and not p.data.flags.writeable for p in loaded.params.values())
+    calls = count_label_encodes(monkeypatch, model)
     for n_docs in range(1, 6):
         batch = make_batches(sample_docs(rng, n_docs), vocab, batch_size=n_docs)[0]
         logits, feats = loaded.forward(batch.token_ids, batch.pad_mask)
@@ -296,10 +302,72 @@ def test_frozen_model_follows_rebound_and_reopened_parameters(rng):
     emb[:, 0] += 1.0  # written in place
     assert_matches_a_trainable_model()
     emb.setflags(write=False)
-    assert_matches_a_trainable_model()  # read-only again, so an encoding is kept
+    assert_matches_a_trainable_model()  # read-only again, but not a view _freeze made: encoded afresh
     emb.setflags(write=True)
     emb[:, 1] -= 1.0
     assert_matches_a_trainable_model()
+
+
+def test_rebound_frozen_model_encodes_labels_in_every_later_forward(rng, monkeypatch):
+    model, vocab = build_model(classifier_init="normal")
+    frozen = model.frozen()
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+    calls = count_label_encodes(monkeypatch, model)
+    for _ in range(2):
+        frozen.forward(batch.token_ids, batch.pad_mask)
+    assert len(calls) == 1  # kept while the parameters are the views frozen() made
+    emb = frozen.params["token_emb"].data.copy()
+    frozen.params["token_emb"].data = emb
+    for _ in range(2):
+        frozen.forward(batch.token_ids, batch.pad_mask)
+    assert len(calls) == 3
+    emb.setflags(write=False)  # read-only, but still not a view frozen() made
+    for _ in range(2):
+        frozen.forward(batch.token_ids, batch.pad_mask)
+    assert len(calls) == 5
+
+
+def test_frozen_model_encodes_labels_afresh_while_a_reopened_view_is_writable(rng):
+    model, vocab = build_model(classifier_init="normal")
+    frozen = model.frozen()
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+    frozen.forward(batch.token_ids, batch.pad_mask)  # the label encoding is now kept
+    view = frozen.params["token_emb"].data
+    view.base.setflags(write=True)  # the base owns its memory, so it can be reopened, and then its views
+    view.setflags(write=True)
+    view *= 2.0
+    twin = IdeaModel(model.encoder_config, model.label_names, vocab, dtype=model.dtype,
+                     params={name: Tensor(p.data, requires_grad=True) for name, p in frozen.params.items()})
+    want, _ = twin.forward(batch.token_ids, batch.pad_mask)
+    assert same_bytes(frozen.forward(batch.token_ids, batch.pad_mask)[0], want)
+
+
+def test_frozen_copies_the_model_without_running_init(rng, monkeypatch):
+    model, vocab = build_model(classifier_init="normal")
+    batch = make_batches(sample_docs(rng, 4), vocab, batch_size=4)[0]
+    want, _ = model.forward(batch.token_ids, batch.pad_mask)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("frozen() ran IdeaModel.__init__")
+
+    monkeypatch.setattr(IdeaModel, "__init__", no_init)
+    frozen = model.frozen()
+    assert frozen.is_frozen and not model.is_frozen and frozen.vocab is model.vocab
+    assert frozen.label_spans == model.label_spans and list(frozen.params) == list(model.params)
+    assert same_bytes(frozen.forward(batch.token_ids, batch.pad_mask)[0], want)
+
+
+def test_model_given_its_parameters_in_another_order_saves_a_checkpoint_load_accepts(tmp_path):
+    model, vocab = build_model(dtype=np.float32, classifier_init="normal")
+    shuffled = IdeaModel(model.encoder_config, model.label_names, vocab, dtype=model.dtype,
+                         params=dict(sorted(model.params.items())))
+    assert list(shuffled.params) != list(model.params)
+    model.save(tmp_path / "spec.ckpt")
+    shuffled.save(tmp_path / "sorted.ckpt")
+    assert (tmp_path / "sorted.ckpt").read_bytes() == (tmp_path / "spec.ckpt").read_bytes()
+    loaded = IdeaModel.load(tmp_path / "sorted.ckpt")
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
 
 @pytest.mark.parametrize("source", ["frozen", "load-float32", "load-float64"])
