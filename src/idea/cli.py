@@ -241,9 +241,7 @@ def _train_config(ns) -> TrainConfig:
         raise ValueError("train: --train-csv and --test-csv are required")
     if not settings.get("labels"):
         raise ValueError("train: label names required (--labels or --dataset)")
-    settings["labels"] = [name.strip() for name in settings["labels"].split(",")]
-    if not all(settings["labels"]):
-        raise ValueError("train: empty label name in --labels")
+    settings["labels"] = LabelSet.parse(settings["labels"]).names
     if "ablation" in settings:
         settings["ablation"] = ABLATION_FLAGS[settings["ablation"]]
     return TrainConfig(**{_FIELD_NAMES.get(k, k): v for k, v in settings.items()})
@@ -328,9 +326,9 @@ def gradcheck_setup(seed: int):
     the default squared-norm coefficient.
     """
     rng = np.random.default_rng(seed)
-    label_names = ["red", "green", "blue"]
+    labels = LabelSet(["red", "green", "blue"])
     pool = ["alpha", "beta", "delta", "kappa", "sigma", "omega", "zeta", "theta"]
-    vocab = Vocab.from_tokens(pool + label_names + [","])
+    vocab = Vocab.from_tokens(pool + labels.vocab_tokens())
 
     def sample_text(n_tokens):
         return " ".join(pool[int(rng.integers(len(pool)))] for _ in range(n_tokens))
@@ -343,7 +341,7 @@ def gradcheck_setup(seed: int):
     enc_cfg = EncoderConfig(
         vocab_size=len(vocab), d=8, n_layers=2, n_heads=2, max_positions=16, dropout=0.1
     )
-    model = IdeaModel.build(enc_cfg, LabelSet(label_names), vocab, dtype=np.float64, rng=rng)
+    model = IdeaModel.build(enc_cfg, labels, vocab, dtype=np.float64, rng=rng)
     # a nonzero classifier, or no gradient reaches the layers below it
     clf_w = model.params["clf.W"].data
     clf_w[...] = rng.normal(0.0, INIT_STD, size=clf_w.shape)
@@ -387,7 +385,7 @@ def cmd_export_features(ns) -> int:
 def cmd_make_synthetic(ns) -> int:
     # --seed, --label-names and the knobs that were given
     settings = {k: v for k, v in vars(ns).items() if k in inspect.signature(synthetic.generate_rows).parameters}
-    settings["label_names"] = [name.strip() for name in ns.label_names.split(",")] if ns.label_names else None
+    settings["label_names"] = LabelSet.parse(ns.label_names).names if ns.label_names else None
     rows, names = synthetic.generate_rows(ns.docs, **settings)
     synthetic.write_csv(rows, ns.out)
     print(f"wrote {len(rows)} rows to {ns.out}")

@@ -99,15 +99,29 @@ class Vocab:
 
 @dataclass
 class LabelSet:
-    """Class names in dataset order."""
+    """Class names in dataset order; each needs a token, for its span in the label sequence."""
 
     names: list[str]
+
+    def __post_init__(self):
+        for i, name in enumerate(self.names):
+            if not (isinstance(name, str) and tokenize(name)):
+                raise ValueError(f"label name {i} must be a string with at least one token, got {name!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> "LabelSet":
+        """The comma-separated names in text, each stripped."""
+        return cls([name.strip() for name in text.split(",")])
 
     def __len__(self) -> int:
         return len(self.names)
 
     def name_tokens(self) -> list[list[str]]:
         return [tokenize(name) for name in self.names]
+
+    def vocab_tokens(self) -> list[str]:
+        """The tokens every vocabulary keeps: each name's tokens in order of first appearance, then ","."""
+        return list(dict.fromkeys([*(tok for toks in self.name_tokens() for tok in toks), ","]))
 
 
 @dataclass
@@ -144,27 +158,16 @@ def build_vocab(
     if n_docs == 0:
         raise ValueError("build_vocab: empty corpus")
 
-    forced: list[str] = []
-    if labels is not None:
-        for toks in labels.name_tokens():
-            for t in toks:
-                if t not in forced:
-                    forced.append(t)
-        if "," not in forced:
-            forced.append(",")
+    forced = labels.vocab_tokens() if labels is not None else []
     forced_set = set(forced)
 
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ordered = list(SPECIAL_TOKENS)
+    kept = list(SPECIAL_TOKENS)
     for tok, freq in ranked:
-        past_cap = max_size is not None and len(ordered) >= max_size
+        past_cap = max_size is not None and len(kept) >= max_size
         if tok in forced_set or (freq >= min_freq and not past_cap):
-            ordered.append(tok)
-    present = set(ordered)
-    for tok in forced:
-        if tok not in present:
-            ordered.append(tok)
-    return Vocab(ordered)
+            kept.append(tok)
+    return Vocab.from_tokens(kept + forced)  # forced tokens absent from the corpus go last
 
 
 def encode_document(doc: Document, vocab: Vocab, max_len: int) -> list[int]:

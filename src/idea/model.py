@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head as hd
 from .autodiff import Tensor
-from .data import SEP, Batch, LabelSet, Vocab, atomic_open, check_label_sequence_length, label_sequence, tokenize
+from .data import SEP, Batch, LabelSet, Vocab, atomic_open, check_label_sequence_length, label_sequence
 from .encoder import (
     EncoderConfig,
     ParamSpec,
@@ -36,9 +36,9 @@ class IdeaModel:
     The vocabulary and the label sequence it encodes are fixed at
     construction; every forward pass encodes that sequence once, in the
     documents' encoder pass, and broadcasts it across the batch. A frozen model (from load or frozen())
-    only infers: its parameters are views of one read-only array and need no
-    gradient, so a forward records no tape, and it keeps its label sequence's
-    encoding while every parameter is still the read-only view it was frozen with.
+    only infers: its parameters are views of one array over immutable bytes and
+    need no gradient, so a forward records no tape, and it keeps its label
+    sequence's encoding while every parameter is still the view it was frozen with.
     """
 
     def __init__(
@@ -56,9 +56,6 @@ class IdeaModel:
             raise ValueError(f"unknown gamma mode {gamma_mode!r}; expected {hd.GAMMA_MODE!r}")
         self.encoder_config = encoder_config
         self.label_names = list(label_names)
-        for i, name in enumerate(self.label_names):  # each name needs a span in the label sequence
-            if not (isinstance(name, str) and tokenize(name)):
-                raise ValueError(f"label name {i} must be a string with at least one token, got {name!r}")
         labels = LabelSet(self.label_names)
         check_label_sequence_length(labels, encoder_config.max_positions)
         if len(vocab) != encoder_config.vocab_size:
@@ -77,7 +74,7 @@ class IdeaModel:
             params = init_params(self.param_specs(), rng or np.random.default_rng(0), dtype)
         self.params = params
         self.is_frozen = False
-        self._views: tuple[np.ndarray, ...] = ()  # a frozen model's read-only parameter views, from _freeze
+        self._views: tuple[np.ndarray, ...] = ()  # a frozen model's parameter views, from _freeze
         self._labels: tuple[Tensor, Tensor] | None = None  # its label encoding, valid while params are _views
 
     def param_specs(self) -> list[ParamSpec]:
@@ -125,11 +122,10 @@ class IdeaModel:
         """The documents' encoding, and the label sequence's pooled vector and per-label vectors.
 
         Both are encoded in one pass, unless the label encoding is kept: a
-        frozen model keeps it while its parameters are the read-only views
-        _freeze made.
+        frozen model keeps it while its parameters are the views _freeze made,
+        which no write can reach.
         """
-        kept = self.is_frozen and all(p.data is a and not a.flags.writeable
-                                      for p, a in zip(self.params.values(), self._views))
+        kept = self.is_frozen and all(p.data is a for p, a in zip(self.params.values(), self._views))
         if kept and self._labels is not None:
             return encode(ids, mask, self.encoder_config, self.params, training, rng), self._labels
         enc, lab = encode_groups([(ids, mask), label_group(self.label_ids)], self.encoder_config, self.params,
@@ -140,7 +136,7 @@ class IdeaModel:
         return enc, labels
 
     def frozen(self) -> "IdeaModel":
-        """A shallow inference copy whose parameters are views of one read-only array; self if already frozen."""
+        """A shallow inference copy whose parameters are views of one array over bytes; self if already frozen."""
         if self.is_frozen:
             return self
         flat = np.concatenate([self.params[name].data.ravel() for name, _, _ in self.param_specs()])
@@ -148,7 +144,8 @@ class IdeaModel:
 
     def _freeze(self, flat: np.ndarray) -> "IdeaModel":
         """Make flat, every parameter in param_specs order, this model's read-only parameters; mark it frozen."""
-        flat.setflags(write=False)  # flat owns its memory: while it is read-only, no view can be made writable
+        if not isinstance(flat.base, bytes):  # an array over bytes, and every view of it, can never be made writable
+            flat = np.frombuffer(flat.tobytes(), flat.dtype)
         self.params, start = {}, 0
         for name, shape, _ in self.param_specs():
             end = start + math.prod(shape)
@@ -225,13 +222,12 @@ class IdeaModel:
             if left != 4 * n:  # before the body is allocated, however large the header says it is
                 raise ValueError(f"{path}: {'truncated' if left < 4 * n else 'trailing bytes in'} checkpoint: "
                                  f"the header's parameters need {4 * n} bytes, found {left}")
-            body = np.empty(n, dtype="<f4")
-            fh.readinto(body)
+            body = fh.read(4 * n)
         crc = zlib.crc32(body)
         if crc != want_crc:
             raise ValueError(f"{path}: damaged checkpoint: parameter bytes have CRC-32 {crc}, "
                              f"the header records {want_crc!r}")
-        return model._freeze(body.astype(dtype, copy=False))
+        return model._freeze(np.frombuffer(body, dtype="<f4").astype(dtype, copy=False))  # float32: no copy
 
     def copy_param_data(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

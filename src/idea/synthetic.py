@@ -11,7 +11,7 @@ import csv
 
 import numpy as np
 
-from .data import atomic_open, tokenize
+from .data import LabelSet, atomic_open
 
 NAME_POOL = [
     "sport",
@@ -62,6 +62,7 @@ def generate_rows(
     if n_docs < n_classes:
         raise ValueError(f"generate_rows: {n_docs} documents for {n_classes} classes; need one per class")
     names = list(label_names) if label_names is not None else default_label_names(n_classes)
+    name_tokens = LabelSet(names).name_tokens()
     if len(names) != n_classes:
         raise ValueError(f"generate_rows: {len(names)} label names for {n_classes} classes")
     for name, rate in (("label_token_rate", label_token_rate), ("confusion", confusion)):
@@ -75,10 +76,9 @@ def generate_rows(
     rng = np.random.default_rng(seed)
     shared_pool = [f"common{j}" for j in range(overlap * 2 + 1)]
     keyword_sets: list[list[str]] = []
-    for name in names:
-        base = "".join(tokenize(name)) or "label"
-        kws = list(tokenize(name))
-        kws += [f"{base}{j}" for j in range(keywords_per_class)]
+    for toks in name_tokens:
+        base = "".join(toks)
+        kws = toks + [f"{base}{j}" for j in range(keywords_per_class)]
         if overlap > 0:
             picks = rng.choice(len(shared_pool), size=overlap, replace=False)
             kws += [shared_pool[j] for j in picks]
@@ -94,7 +94,7 @@ def generate_rows(
         cls = int(cls)
         words: list[str] = []
         if rng.random() < label_token_rate:
-            words.extend(tokenize(names[cls]))
+            words.extend(name_tokens[cls])
         for _ in range(doc_keywords):
             if rng.random() < confusion:
                 other = int(rng.integers(n_classes - 1))

@@ -87,8 +87,7 @@ class TrainConfig:
                 f"= {self.max_positions - 2}"
             )
         self.encoder_config(1)  # the encoder's own rules, with a placeholder vocabulary size
-        if all(isinstance(name, str) for name in self.label_names):  # before any CSV is read
-            check_label_sequence_length(LabelSet(list(self.label_names)), self.max_positions)
+        check_label_sequence_length(LabelSet(list(self.label_names)), self.max_positions)  # before any CSV is read
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(vocab_size=vocab_size, d=self.d, n_layers=self.n_layers, n_heads=self.n_heads,

@@ -139,9 +139,10 @@ def test_make_synthetic_names_classes_past_the_name_pool_topic_n(tmp_path, capsy
     (["--doc-keywords", "-1"], "doc_keywords must be >= 0, got -1"),
     (["--doc-noise", "-3"], "doc_noise must be >= 0, got -3"),
     (["--overlap", "-2"], "overlap must be >= 0, got -2"),
+    (["--label-names", "a,,b", "--classes", "3"], "label name 1 must be a string with at least one token, got ''"),
 ], ids=["one-class", "too-few-docs", "name-count", "label-token-rate-2", "label-token-rate-nan", "confusion-1.5",
         "confusion-nan", "confusion-negative", "keywords-per-class-negative", "doc-keywords-negative",
-        "doc-noise-negative", "overlap-negative"])
+        "doc-noise-negative", "overlap-negative", "empty-name"])
 def test_make_synthetic_bad_class_setting_exits_1_writing_nothing(tmp_path, capsys, args, message):
     out = tmp_path / "c.csv"
     code, stdout, err = run_cli(capsys, "make-synthetic", "--out", str(out), *args)
@@ -161,6 +162,14 @@ def test_gradcheck_setup_shapes():
     assert batch.token_ids.shape == (2, 8)  # CLS + 6 + SEP
     assert model.params["token_emb"].dtype == np.float64
     assert np.isfinite(float(fn().data))
+
+
+def test_gradcheck_setup_vocabulary_ids():
+    # the ids fix every gradcheck report: a reordered vocabulary embeds other rows
+    assert gradcheck_setup(0)[0].vocab.id_to_token == [
+        "[PAD]", "[UNK]", "[CLS]", "[SEP]", "alpha", "beta", "delta", "kappa", "sigma", "omega", "zeta", "theta",
+        "red", "green", "blue", ",",
+    ]
 
 
 def test_cmd_gradcheck_passes(capsys):
@@ -825,7 +834,7 @@ def test_train_bad_encoder_setting_exits_1_before_reading_the_csv(capsys, comman
 
 @pytest.mark.parametrize("labels, message", [
     ([], "train: label names required (--labels or --dataset)"),
-    (["--labels", "a,,b"], "train: empty label name in --labels"),
+    (["--labels", "a,,b"], "label name 1 must be a string with at least one token, got ''"),
     (["--labels", "world"], "train: need at least two label names"),
 ], ids=["none", "empty-name", "one-name"])
 def test_train_bad_label_names_exit_1_before_reading_the_csv(capsys, labels, message):

@@ -1,14 +1,19 @@
 import ast
 import os
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idea
 from idea.data import (
     CLS,
     PAD,
     SEP,
+    SPECIAL_TOKENS,
     UNK,
     CsvFormatError,
     Document,
@@ -79,6 +84,83 @@ def test_build_vocab_label_tokens_survive_min_freq_and_cap():
     # cap of 5 leaves space for one corpus token ("aa"); label tokens still kept
     assert UNK not in vocab.encode(["aa", "weather"])
     assert vocab.encode(["bb"]) == [UNK]
+
+
+def _build_vocab_reference(corpus, min_freq, max_size, labels):
+    """build_vocab's id order as its own loops once wrote it: the reference its ids must keep."""
+    counts = Counter()
+    for doc in corpus:
+        counts.update(tokenize(doc.text))
+    forced = []
+    if labels is not None:
+        for toks in labels.name_tokens():
+            for t in toks:
+                if t not in forced:
+                    forced.append(t)
+        if "," not in forced:
+            forced.append(",")
+    ordered = list(SPECIAL_TOKENS)
+    for tok, freq in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        past_cap = max_size is not None and len(ordered) >= max_size
+        if tok in forced or (freq >= min_freq and not past_cap):
+            ordered.append(tok)
+    for tok in forced:
+        if tok not in ordered:
+            ordered.append(tok)
+    return ordered
+
+
+VOCAB_WORDS = ["aa", "bb", "cc", "dd", "ee", ",", "!", "sci", "tech"]
+
+
+@settings(max_examples=200)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(VOCAB_WORDS), max_size=8).map(" ".join), min_size=1, max_size=6),
+    # names may repeat a token, hold a comma, or use tokens the corpus lacks
+    names=st.none() | st.lists(st.lists(st.sampled_from(VOCAB_WORDS + ["zz", "yy"]), min_size=1, max_size=3)
+                               .map(" ".join).filter(tokenize), min_size=1, max_size=4),
+    min_freq=st.integers(1, 4),
+    max_size=st.none() | st.integers(5, 14),
+)
+def test_build_vocab_ids_match_the_reference_loop(texts, names, min_freq, max_size):
+    corpus = [Document(text, 0) for text in texts]
+    labels = None if names is None else LabelSet(names)
+    want = _build_vocab_reference(corpus, min_freq, max_size, labels)
+    assert build_vocab(corpus, min_freq=min_freq, max_size=max_size, labels=labels).id_to_token == want
+
+
+@pytest.mark.parametrize("names, tokens", [
+    (["world", "sci tech"], ["world", "sci", "tech", ","]),
+    (["sci tech", "tech sci", "world"], ["sci", "tech", "world", ","]),
+    (["a , b", "c"], ["a", ",", "b", "c"]),  # a name's own comma is the separator's token too
+    (["only"], ["only", ","]),
+])
+def test_label_set_vocab_tokens_are_name_tokens_in_first_appearance_then_comma(names, tokens):
+    assert LabelSet(names).vocab_tokens() == tokens
+
+
+@pytest.mark.parametrize("names, index", [
+    (["world", ""], 1), ([" \t", "world"], 0), (["world", 1], 1), (["world", None], 1),
+], ids=["empty", "blank", "int", "none"])
+def test_label_set_rejects_a_name_without_a_token(names, index):
+    message = f"label name {index} must be a string with at least one token, got {names[index]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LabelSet(names)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("world,sports", ["world", "sports"]),
+    (" sci tech , world ", ["sci tech", "world"]),
+    ("only", ["only"]),
+])
+def test_label_set_parse_splits_on_commas_and_strips(text, names):
+    assert LabelSet.parse(text).names == names
+
+
+@pytest.mark.parametrize("text, index", [("a,,b", 1), ("a, ,b", 1), (",a", 0), ("a,", 1), ("", 0)])
+def test_label_set_parse_rejects_a_blank_name(text, index):
+    with pytest.raises(ValueError, match=f"^label name {index} must be a string with at least one token, got ''$"):
+        LabelSet.parse(text)
 
 
 @pytest.mark.parametrize("max_size", [4, 0, -5])

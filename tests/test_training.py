@@ -556,6 +556,8 @@ def test_train_config_validation():
         TrainConfig(lambda_l2=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="label name 1 must be a string with at least one token, got 1"):
+        TrainConfig(label_names=["a", 1])
     for field in ("train_limit", "test_limit", "max_steps", "max_len"):
         TrainConfig(**{field: 1})
         for value in (0, -3):
